@@ -13,7 +13,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ralab import analysis
-from ralab.analysis import FourStepParams, TwoStepParams
 from ralab.scenario import Scenario
 from ralab.simulator import run_scenario
 
@@ -23,8 +22,8 @@ def fourstep_point(n_ue: int, n_cr: int, duration_ms: float, seed: int):
                   fourstep_n_ue=n_ue, fourstep_rate_per_s=1.0)
     cm = run_scenario(sc, seed=seed).classes["fourstep"]
     simulated = cm.signals_total / (n_ue * duration_ms)
-    predicted = analysis.load_fourstep(analysis.solve_fourstep(
-        FourStepParams(n_ue=n_ue, rate_per_ms=1e-3, n_cb=sc.n_cb)))
+    predicted = analysis.load_fourstep(
+        analysis.solve_fourstep(analysis.fourstep_params(sc)))
     return cm.generated, simulated, predicted
 
 
@@ -34,8 +33,7 @@ def twostep_point(n_ed: int, n_cr: int, duration_ms: float, seed: int):
                   twostep_n_event=n_ed, twostep_event_rate_per_s=6.8)
     cm = run_scenario(sc, seed=seed).classes["twostep_event"]
     simulated = cm.signals_total / (n_ed * duration_ms)
-    params = TwoStepParams(n_ue=n_ed, n_event=n_ed, rate_per_ms=6.8e-3,
-                           t_p=3, n_cr=n_cr)
+    params = analysis.twostep_params(sc)
     predicted = analysis.load_twostep(analysis.solve_twostep(params), params)
     return cm.generated, simulated, predicted
 

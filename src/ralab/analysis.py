@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
+from . import core
+
 
 class SolverError(RuntimeError):
     """The fixed-point solve did not reach the required residual."""
@@ -97,11 +99,6 @@ class TwoStepParams:
             raise ValueError("max_attempts must be >= 1")
 
     @property
-    def t_p_eff(self) -> float:
-        """Mean slots between consecutive allowed slots of one class."""
-        return 10.0 / 3.0 if self.t_p == 3 else float(self.t_p)
-
-    @property
     def slot_avg(self) -> float:
         """Mean slots between packets of one event device."""
         return 1.0 / (self.rate_per_ms * self.t_tti_ms)
@@ -112,6 +109,48 @@ class TwoStepParams:
         if self.n_event <= 0:
             return 1.0
         return max(self.n_event / (self.t_p * (self.n_cr - 1)), 1.0)
+
+
+def fourstep_params(sc) -> FourStepParams | None:
+    """The four-step model inputs of a scenario (``ralab.scenario.Scenario``).
+
+    ``None`` when the scenario has no four-step devices.
+    """
+    if sc.fourstep_n_ue == 0:
+        return None
+    return FourStepParams(
+        n_ue=sc.fourstep_n_ue,
+        rate_per_ms=sc.fourstep_rate_per_s / 1000.0,
+        n_cb=sc.n_cb,
+        max_attempts=sc.max_attempts,
+        t_tti_ms=sc.t_tti_ms,
+        t_up_ms=sc.t_up_ms,
+        t_inactive_ms=sc.t_inactive_ms,
+        rar_window_ms=sc.rar_window_ms,
+        backoff_avg_ms=sc.backoff_avg_ms,
+        conres_timer_ms=sc.conres_timer_ms,
+    )
+
+
+def twostep_params(sc) -> TwoStepParams | None:
+    """The two-step model inputs of a scenario's event population.
+
+    ``None`` when the scenario has no two-step event devices.
+    """
+    if sc.twostep_n_event == 0:
+        return None
+    return TwoStepParams(
+        n_ue=sc.twostep_n_periodic + sc.twostep_n_event,
+        n_event=sc.twostep_n_event,
+        rate_per_ms=sc.twostep_event_rate_per_s / 1000.0,
+        t_p=sc.t_p,
+        n_cr=sc.n_cr,
+        max_attempts=sc.max_attempts,
+        t_tti_ms=sc.t_tti_ms,
+        t_up_ms=sc.t_up_ms,
+        t_inactive_ms=sc.t_inactive_ms,
+        rar_window_ms=sc.rar_window_ms,
+    )
 
 
 @dataclass(frozen=True)
@@ -336,7 +375,7 @@ def twostep_detection_prob(m: int, params: TwoStepParams, p_prev=()) -> float:
     peers = math.ceil(params.n_rar) - 1
     exponent = float(m)
     if peers > 0:
-        per_slot = params.t_p_eff / params.slot_avg
+        per_slot = core.mean_class_stride_slots(params.t_p) / params.slot_avg
         for j in range(1, params.max_attempts + 1):
             if j == 1:
                 prev = 0.0
@@ -371,7 +410,8 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
 
     pm1 = _twostep_detection_vector(params)
     p_conn = 1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
-    p_idle = math.exp(-lam * params.t_p_eff * t_tti)
+    stride = core.mean_class_stride_slots(params.t_p)
+    p_idle = math.exp(-lam * stride * t_tti)
 
     f = np.empty(M)
     f[0] = 1.0 - p_idle
@@ -382,7 +422,7 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     total = x_conn + 1.0 + (f + pi2).sum()
 
     hold_conn = (1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))) / lam
-    hold_idle = t_tti * params.t_p_eff
+    hold_idle = t_tti * stride
     w = params.rar_window_ms
     h1 = t_tti * pm1 + (t_tti + w) * (1 - pm1)
     h2 = np.full(M, 2.75 * p2 + w * (1 - p2))
@@ -419,7 +459,7 @@ def effective_rar_load(params: TwoStepParams, detect: np.ndarray) -> float:
     n_ceil = math.ceil(n_rar)
     if n_ceil <= 1:
         return 1.0
-    per_slot = params.t_p_eff / params.slot_avg
+    per_slot = core.mean_class_stride_slots(params.t_p) / params.slot_avg
     retry_sum = 1.0 + float(np.sum(1.0 - detect[: params.max_attempts - 1]))
     x = min(max(per_slot * retry_sum, 0.0), 1.0)
     eff = 0.0

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, metrics, simulator
+from .analysis import fourstep_params, twostep_params
 from .scenario import Scenario, ScenarioError, apply_overrides, emit_scenario, read_scenario
 
 VALIDATE_TOLERANCE = 0.10
@@ -43,42 +44,6 @@ def _json_ready(obj):
 
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_ready(payload), indent=2) + "\n", encoding="utf-8")
-
-
-def fourstep_params(sc: Scenario) -> analysis.FourStepParams | None:
-    """The load-model inputs implied by a scenario's four-step population."""
-    if sc.fourstep_n_ue == 0:
-        return None
-    return analysis.FourStepParams(
-        n_ue=sc.fourstep_n_ue,
-        rate_per_ms=sc.fourstep_rate_per_s / 1000.0,
-        n_cb=sc.n_cb,
-        max_attempts=sc.max_attempts,
-        t_tti_ms=sc.t_tti_ms,
-        t_up_ms=sc.t_up_ms,
-        t_inactive_ms=sc.t_inactive_ms,
-        rar_window_ms=sc.rar_window_ms,
-        backoff_avg_ms=sc.backoff_avg_ms,
-        conres_timer_ms=sc.conres_timer_ms,
-    )
-
-
-def twostep_params(sc: Scenario) -> analysis.TwoStepParams | None:
-    """The load-model inputs implied by a scenario's event population."""
-    if sc.twostep_n_event == 0:
-        return None
-    return analysis.TwoStepParams(
-        n_ue=sc.twostep_n_periodic + sc.twostep_n_event,
-        n_event=sc.twostep_n_event,
-        rate_per_ms=sc.twostep_event_rate_per_s / 1000.0,
-        t_p=sc.t_p,
-        n_cr=sc.n_cr,
-        max_attempts=sc.max_attempts,
-        t_tti_ms=sc.t_tti_ms,
-        t_up_ms=sc.t_up_ms,
-        t_inactive_ms=sc.t_inactive_ms,
-        rar_window_ms=sc.rar_window_ms,
-    )
 
 
 # ----------------------------------------------------------------------

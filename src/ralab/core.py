@@ -1,11 +1,11 @@
-"""Slot arithmetic, preamble-space partition, transmission schedules, latency budget.
+"""Slot arithmetic, transmission schedules, latency budget.
 
 Shared vocabulary for the whole package:
 
 * time advances in slots of ``t_tti`` ms (default 0.5); a frame is 10 slots;
 * the preamble space of size ``n_total`` splits into a contention-free pool
   (``n_cf``), a pool for the two-step procedure (``n_cr``, the highest ids),
-  and a pool for the four-step procedure (``n_cb``);
+  and a pool for the four-step procedure (``n_cb``), as a scenario sets them;
 * a schedule period ``t_p`` in {1, 2, 3} partitions the frame slots into
   ``t_p`` disjoint classes; a device with offset index ``t_ind`` may transmit
   a preamble only in slots of its own class;
@@ -14,8 +14,6 @@ Shared vocabulary for the whole package:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 FRAME_LEN = 10
 DEFAULT_T_TTI_MS = 0.5
@@ -26,9 +24,9 @@ DEFAULT_T_TTI_MS = 0.5
 # device processing.
 LATENCY_COMPONENTS_MS = (0.25, 0.5, 1.5, 1.25, 0.5, 1.0, 0.5, 3.0)
 
-CP_FOURSTEP_MS = 8.5   # all eight components
-CP_TWOSTEP_MS = 3.5    # first four components (two-message exchange)
-UP_DATA_MS = 3.0       # uplink data transmission after access completes
+CP_FOURSTEP_MS = sum(LATENCY_COMPONENTS_MS)     # 8.5: all eight components
+CP_TWOSTEP_MS = sum(LATENCY_COMPONENTS_MS[:4])  # 3.5: two-message exchange
+UP_DATA_MS = 3.0  # uplink data transmission after access completes
 TOTAL_FOURSTEP_MS = CP_FOURSTEP_MS + UP_DATA_MS
 TOTAL_TWOSTEP_MS = CP_TWOSTEP_MS + UP_DATA_MS
 
@@ -99,145 +97,3 @@ def next_tx_slot(gen_slot: int, t_p: int, t_ind: int) -> int:
     if not 1 <= t_ind <= t_p:
         raise ValueError(f"t_ind must be in [1, {t_p}], got {t_ind!r}")
     return gen_slot + _WAIT_SLOTS[t_p][t_ind - 1][gen_slot % FRAME_LEN]
-
-
-def latency_components(procedure: str) -> tuple[float, float, float]:
-    """(control-plane ms, uplink-data ms, total ms) for a procedure.
-
-    ``"fourstep"`` uses the full eight-component budget; ``"twostep"``
-    completes after the first four components.
-    """
-    if procedure == "fourstep":
-        return (CP_FOURSTEP_MS, UP_DATA_MS, TOTAL_FOURSTEP_MS)
-    if procedure == "twostep":
-        return (CP_TWOSTEP_MS, UP_DATA_MS, TOTAL_TWOSTEP_MS)
-    raise ValueError(f"unknown procedure {procedure!r}")
-
-
-@dataclass(frozen=True)
-class SlotClock:
-    """A position in slot time."""
-
-    t_tti: float = DEFAULT_T_TTI_MS
-    slot_index: int = 0
-    frame_len: int = FRAME_LEN
-
-    def __post_init__(self) -> None:
-        if self.t_tti <= 0:
-            raise ValueError("t_tti must be > 0")
-        if self.slot_index < 0:
-            raise ValueError("slot_index must be >= 0")
-        if self.frame_len <= 0:
-            raise ValueError("frame_len must be > 0")
-
-    @property
-    def frame_slot(self) -> int:
-        return self.slot_index % self.frame_len
-
-    @property
-    def time_ms(self) -> float:
-        return self.slot_index * self.t_tti
-
-
-@dataclass(frozen=True)
-class PreambleSpace:
-    """Partition of the preamble ids 0 .. n_total - 1.
-
-    The two-step pool occupies the highest ``n_cr`` ids,
-    ``n_total - n_cr`` .. ``n_total - 1``.
-    """
-
-    n_total: int = 64
-    n_cf: int = 10
-    n_cr: int = 4
-    n_cb: int = 50
-
-    def __post_init__(self) -> None:
-        for name in ("n_total", "n_cf", "n_cr", "n_cb"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.n_cf + self.n_cr + self.n_cb != self.n_total:
-            raise ValueError(
-                "pool sizes must sum to n_total: "
-                f"{self.n_cf} + {self.n_cr} + {self.n_cb} != {self.n_total}"
-            )
-
-    @classmethod
-    def split(cls, n_cr: int, n_total: int = 64, n_cf: int = 10) -> "PreambleSpace":
-        """Space with the contention pools derived from ``n_cr``."""
-        return cls(n_total=n_total, n_cf=n_cf, n_cr=n_cr, n_cb=n_total - n_cf - n_cr)
-
-    @property
-    def twostep_pids(self) -> range:
-        return range(self.n_total - self.n_cr, self.n_total)
-
-    def is_twostep_pid(self, pid: int) -> bool:
-        return self.n_total - self.n_cr <= pid < self.n_total
-
-
-@dataclass(frozen=True)
-class RachSchedule:
-    """Preamble-transmission schedule with period ``t_p`` slots."""
-
-    t_p: int = 3
-
-    def __post_init__(self) -> None:
-        if self.t_p not in _SCHEDULE_TABLES:
-            raise ValueError(f"t_p must be in {{1, 2, 3}}, got {self.t_p!r}")
-
-    @property
-    def table(self) -> tuple[frozenset[int], ...]:
-        return _SCHEDULE_TABLES[self.t_p]
-
-    def allowed(self, t_ind: int) -> frozenset[int]:
-        return allowed_slots(self.t_p, t_ind)
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    """Uplink traffic description for one device population."""
-
-    kind: str  # "periodic" or "event"
-    period_ms: float = 0.0
-    rate_per_s: float = 0.0
-    packet_bytes: int = 32
-
-    def __post_init__(self) -> None:
-        if self.kind == "periodic":
-            if self.period_ms <= 0:
-                raise ValueError("periodic traffic needs period_ms > 0")
-        elif self.kind == "event":
-            if self.rate_per_s <= 0:
-                raise ValueError("event traffic needs rate_per_s > 0")
-        else:
-            raise ValueError(f"kind must be 'periodic' or 'event', got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class LatencyTable:
-    """The fixed latency budget; any change to the constants is a bug."""
-
-    components_ms: tuple[float, ...] = LATENCY_COMPONENTS_MS
-    up_ms: float = UP_DATA_MS
-
-    def __post_init__(self) -> None:
-        if len(self.components_ms) != 8:
-            raise ValueError("expected eight latency components")
-        if any(c <= 0 for c in self.components_ms):
-            raise ValueError("latency components must be > 0")
-
-    @property
-    def cp_fourstep_ms(self) -> float:
-        return sum(self.components_ms)
-
-    @property
-    def cp_twostep_ms(self) -> float:
-        return sum(self.components_ms[:4])
-
-    @property
-    def total_fourstep_ms(self) -> float:
-        return self.cp_fourstep_ms + self.up_ms
-
-    @property
-    def total_twostep_ms(self) -> float:
-        return self.cp_twostep_ms + self.up_ms

@@ -46,7 +46,6 @@ class EstimatorState:
     period_ms: float = 0.0
     margin_ms: float = 0.0
     estimate: TrafficEstimate | None = None
-    temp_time: float | None = None    # preamble time pending the access outcome
     window: int = 0                   # sample cap after classification (0 = none)
     guard_ms: float = 0.0             # schedule-quantization width of the gate
     ticks: list[int] = field(default_factory=list)  # period number per sample
@@ -211,14 +210,11 @@ def classify_traffic_type(
     return est
 
 
-def observe_twostep_attempt(
-    state: EstimatorState, preamble_time: float, success: bool
-) -> EstimatorState:
-    """Fold the outcome of a two-step attempt into a periodic estimate.
+def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> EstimatorState:
+    """Fold a successful two-step access into a periodic estimate.
 
-    Only successful attempts contribute a sample (the preamble reception
-    time); the sample window keeps the most recent ``state.window`` values
-    so refreshing stays O(window).
+    The sample is the preamble reception time; the sample window keeps the
+    most recent ``state.window`` values so refreshing stays O(window).
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -241,10 +237,6 @@ def observe_twostep_attempt(
     est = state.estimate
     if est is None or est.kind != "periodic":
         raise ValueError("attempt tracking applies to periodic devices only")
-    if not success:
-        state.temp_time = None
-        return state
-    state.temp_time = None
     if (state.times or est.anchor_ms) and est.period_ms > 0:
         elapsed = max(0, round((preamble_time - est.anchor_ms) / est.period_ms))
         lattice = est.anchor_ms + elapsed * est.period_ms

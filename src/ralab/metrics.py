@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 QUANTILES = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 
 
+class ConservationError(AssertionError):
+    """Generated packets do not equal delivered + failed + pending."""
+
+
 @dataclass(frozen=True)
 class QuantileEstimate:
     """An empirical quantile plus a resolution warning.
@@ -108,10 +112,11 @@ class ClassMetrics:
         return self.necessary + self.unnecessary_total
 
     def check_conservation(self) -> None:
-        assert self.delivered + self.failed + self.pending == self.generated, (
-            f"packets leaked: {self.delivered} + {self.failed} + {self.pending} "
-            f"!= {self.generated}"
-        )
+        if self.delivered + self.failed + self.pending != self.generated:
+            raise ConservationError(
+                f"packets leaked: {self.delivered} + {self.failed} + {self.pending} "
+                f"!= {self.generated}"
+            )
 
     def update(self, other: "ClassMetrics") -> None:
         self.ra_latency.update(other.ra_latency)

@@ -3,14 +3,14 @@
 A device keeps a context id while suspended. The id deterministically maps
 to a preamble id and an offset index, so the base station can shortlist
 which devices could have sent a given preamble in a given slot and answer
-each candidate with an individually addressed response. The module also
-carries the four-step procedure's per-attempt state record used by the
-simulator.
+each candidate with an individually addressed response, carrying an uplink
+grant only when :func:`grant_threshold` allows it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import core
 from .estimator import TrafficEstimate
@@ -18,28 +18,6 @@ from .estimator import TrafficEstimate
 
 class AllocationError(RuntimeError):
     """No free context id for the requested cell."""
-
-
-@dataclass(frozen=True)
-class ContextId:
-    """Decimal context id with the procedure-selector flag.
-
-    ``flag`` models the most significant bit of the encoded id: 0 means the
-    device uses the two-step procedure, 1 the four-step one.
-    """
-
-    id: int
-    flag: int = 0
-
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError("id must be >= 1 (zero is never assigned)")
-        if self.flag not in (0, 1):
-            raise ValueError("flag must be 0 or 1")
-
-    @property
-    def uses_twostep(self) -> bool:
-        return self.flag == 0
 
 
 def select_preamble(id_: int, n_total: int, n_cr: int) -> int:
@@ -87,44 +65,8 @@ class UeRecord:
     traffic_kind: str  # "periodic" or "event"
     estimate: TrafficEstimate | None = None
     t0_last: float | None = None  # anchor time of the latest successful access
-    # (the traffic analyzer's fitted reception time when an estimate is live,
-    # otherwise the raw preamble reception time)
-
-
-@dataclass
-class FourStepState:
-    """Attempt-level state of one four-step access procedure."""
-
-    max_attempts: int = 10
-    attempt: int = 0               # m; 0 means idle
-    step: int = 0                  # n within the message exchange, 0 when idle
-    ready_slot: int = 0            # earliest slot of the next preamble
-    gen_slot: int = 0              # slot of the packet being served
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self._check()
-
-    def _check(self) -> None:
-        if not 0 <= self.attempt <= self.max_attempts:
-            raise ValueError("attempt out of range")
-
-    def start_attempt(self) -> int:
-        """Advance to the next attempt; raises once the cap is hit."""
-        if self.attempt >= self.max_attempts:
-            raise ValueError("attempt cap reached")
-        self.attempt += 1
-        self.step = 1
-        return self.attempt
-
-    @property
-    def exhausted(self) -> bool:
-        return self.attempt >= self.max_attempts
-
-    def reset(self) -> None:
-        self.attempt = 0
-        self.step = 0
+    # (the traffic analyzer's fitted reception time; None until the first
+    # success after classification)
 
 
 class BsRegistry:
@@ -179,16 +121,6 @@ class BsRegistry:
     def cell_load(self, pid: int, t_ind: int) -> int:
         return len(self._cells.get((pid, t_ind), ()))
 
-    def check_consistent(self) -> None:
-        """Assert the reverse index matches the forward map (test hook)."""
-        rebuilt: dict[tuple[int, int], list[int]] = {}
-        for id_, rec in self.records.items():
-            assert rec.id == id_
-            rebuilt.setdefault((rec.pid, rec.t_ind), []).append(id_)
-        assert {k: sorted(v) for k, v in rebuilt.items()} == {
-            k: sorted(v) for k, v in self._cells.items() if v
-        }
-
 
 def filter_candidates(registry: BsRegistry, pid: int, rx_slot: int) -> list[int]:
     """Ids that could have sent ``pid`` in ``rx_slot`` (shortlist step).
@@ -204,38 +136,34 @@ def filter_candidates(registry: BsRegistry, pid: int, rx_slot: int) -> list[int]
     return sorted(out)
 
 
-def rar_grant_decision(record: UeRecord, t: float) -> bool:
-    """Whether the response to ``record`` should carry an uplink grant at ``t``.
+def grant_threshold(record: UeRecord) -> float:
+    """Earliest response time at which ``record`` gets an uplink grant.
 
-    Event devices always get the grant. Periodic devices get it only when
-    the next packet is plausibly due: ``t >= t0 + T - alpha`` with the
-    estimated period ``T`` and margin ``alpha``. Without an estimate or a
-    prior success the grant is always sent.
+    Event devices are never gated (``-inf``). A periodic device is granted
+    only when its next packet is plausibly due, ``t >= t0 + T - alpha``
+    with the estimated period ``T`` and margin ``alpha``; without an
+    estimate or a prior success it is never gated either.
     """
-    if record.traffic_kind == "event":
-        return True
     est = record.estimate
-    if est is None or est.kind != "periodic" or record.t0_last is None:
-        return True
-    return t >= record.t0_last + est.period_ms - est.margin_ms
+    if (record.traffic_kind == "event" or est is None or est.kind != "periodic"
+            or record.t0_last is None):
+        return -math.inf
+    return record.t0_last + est.period_ms - est.margin_ms
 
 
 def allocate_context_id(
     registry: BsRegistry,
     traffic_kind: str,
     preferred_offset: int | None = None,
-    rng=None,
-    policy: str = "uniform",
-    allow_grow: bool = True,
-) -> ContextId:
-    """Allocate a fresh context id and register the device.
+) -> int:
+    """Allocate a fresh context id, register the device and return the id.
 
     Periodic devices share the reserved (highest) preamble and take the
     offset class ``preferred_offset`` chosen from their observed pattern.
-    Event devices take one of the remaining ``n_cr - 1`` preambles: with
-    ``policy="uniform"`` a uniformly random cell, with ``policy="balanced"``
-    the least-loaded cell (ties to the smallest pid, then offset). Within a
-    cell the smallest unused id is assigned.
+    Event devices take the least-loaded cell among the remaining
+    ``n_cr - 1`` preambles (ties to the smallest pid, then offset). Within a
+    cell the smallest unused id is assigned; a full cell grows past
+    ``ids_per_cell`` and sets ``registry.grew_capacity``.
     """
     n_total, n_cr, t_p = registry.n_total, registry.n_cr, registry.t_p
     if traffic_kind == "periodic":
@@ -247,18 +175,10 @@ def allocate_context_id(
     elif traffic_kind == "event":
         if n_cr < 2:
             raise AllocationError("need n_cr >= 2 to serve event devices")
-        if policy == "uniform":
-            if rng is None:
-                raise ValueError("uniform policy needs an rng")
-            pid = n_total - n_cr + rng.randrange(n_cr - 1)
-            t_ind = 1 + rng.randrange(t_p)
-        elif policy == "balanced":
-            pid, t_ind = min(
-                ((p, k) for p in registry.event_pids() for k in range(1, t_p + 1)),
-                key=lambda cell: (registry.cell_load(*cell), cell[0], cell[1]),
-            )
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
+        pid, t_ind = min(
+            ((p, k) for p in registry.event_pids() for k in range(1, t_p + 1)),
+            key=lambda cell: (registry.cell_load(*cell), cell[0], cell[1]),
+        )
     else:
         raise ValueError(f"traffic_kind must be 'periodic' or 'event', got {traffic_kind!r}")
 
@@ -269,9 +189,7 @@ def allocate_context_id(
     while k in used:
         k += 1
     if k >= registry.ids_per_cell:
-        if not allow_grow:
-            raise AllocationError(f"cell ({pid}, {t_ind}) is full")
         registry.grew_capacity = True
     id_ = cell_id(pid, t_ind, k, n_total, n_cr, t_p)
     registry.add(UeRecord(id=id_, pid=pid, t_ind=t_ind, traffic_kind=traffic_kind))
-    return ContextId(id=id_, flag=0)
+    return id_

@@ -104,7 +104,7 @@ class _Engine:
                 self.slot_class[fs] = k
         # (pid, t_ind) -> devices registered there (event / always-grant cells)
         self.cells: dict[tuple[int, int], list[_Ue]] = {}
-        # t_ind -> heap of (threshold, uid, ue) for gated periodic devices
+        # t_ind -> heap of (grant threshold, uid, ue) for gated periodic devices
         self.pu_heaps: dict[int, list[tuple[float, int, _Ue]]] = {
             k: [] for k in range(1, sc.t_p + 1)
         }
@@ -177,19 +177,18 @@ class _Engine:
         return estimator.preferred_offset(stamps, self.sc.t_p, self.t_tti)
 
     def _allocate(self, ue: _Ue, est: estimator.TrafficEstimate) -> None:
-        cid = protocol.allocate_context_id(
+        id_ = protocol.allocate_context_id(
             self.registry,
             est.kind,
             preferred_offset=est.preferred_offset if est.kind == "periodic" else None,
-            policy="balanced",
         )
-        record = self.registry.records[cid.id]
+        record = self.registry.records[id_]
         record.estimate = est
         ue.record = record
         ue.pid = record.pid
         ue.t_ind = record.t_ind
         if est.kind == "periodic" and self.sc.estimator_mode == "on":
-            ue.threshold = -math.inf
+            ue.threshold = protocol.grant_threshold(record)
             heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
         elif est.kind != "periodic":
             self.cells.setdefault((ue.pid, ue.t_ind), []).append(ue)
@@ -358,7 +357,6 @@ class _Engine:
             for ue in ues:
                 if ue.uid in granted:
                     self.cm[ue.cls].necessary += 2
-                    ue.record.t0_last = t_rar
                     self._refresh_periodic(ue, t_rar)
                     self._deliver_ra(ue, delivery)
                 else:
@@ -390,13 +388,13 @@ class _Engine:
         est = ue.record.estimate
         if est is None or est.kind != "periodic" or self.sc.estimator_mode != "on":
             return
-        estimator.observe_twostep_attempt(ue.est, t_rar, True)
+        estimator.observe_twostep_attempt(ue.est, t_rar)
         # Anchor the next-grant window on the fitted reception time rather
         # than the raw one: a retry-delayed success then shifts the anchor by
         # its leverage share only, so one late sample cannot drag every later
         # window behind the device's actual schedule.
         ue.record.t0_last = est.anchor_ms
-        ue.threshold = est.anchor_ms + est.period_ms - est.margin_ms
+        ue.threshold = protocol.grant_threshold(ue.record)
         heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
 
     def _resolve_fourstep(self, group: list[tuple[_Ue, bool]], s: int) -> None:

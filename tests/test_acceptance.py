@@ -18,7 +18,7 @@ from oracles import (
     stationary_by_power_iteration,
     twostep_transition_matrix,
 )
-from ralab import analysis
+from ralab import analysis, core
 from ralab.analysis import FourStepParams, TwoStepParams
 from ralab.metrics import ClassMetrics, satisfiable_latency
 from ralab.protocol import BsRegistry, UeRecord, filter_candidates, \
@@ -108,7 +108,8 @@ class TestCriterion3StationaryOracle:
             sol2 = analysis.solve_twostep(params2)
             p_conn = 1 - math.exp(-params2.rate_per_ms
                                   * (params2.t_up_ms + params2.t_inactive_ms))
-            p_idle = math.exp(-params2.rate_per_ms * params2.t_p_eff
+            p_idle = math.exp(-params2.rate_per_ms
+                              * core.mean_class_stride_slots(params2.t_p)
                               * params2.t_tti_ms)
             P2 = twostep_transition_matrix(
                 max_attempts, sol2.detect, params2.p2, p_conn, p_idle)
@@ -129,8 +130,7 @@ def crossval_fourstep(n_ue: int, n_cr: int, duration_ms: float, seed: int):
                   fourstep_n_ue=n_ue, fourstep_rate_per_s=1.0)
     cm = run_scenario(sc, seed=seed).classes["fourstep"]
     simulated = cm.signals_total / (n_ue * duration_ms)
-    sol = analysis.solve_fourstep(FourStepParams(
-        n_ue=n_ue, rate_per_ms=1e-3, n_cb=sc.n_cb))
+    sol = analysis.solve_fourstep(analysis.fourstep_params(sc))
     return cm.generated, simulated, analysis.load_fourstep(sol)
 
 
@@ -140,8 +140,7 @@ def crossval_twostep(n_ed: int, duration_ms: float, seed: int):
                   twostep_n_event=n_ed, twostep_event_rate_per_s=6.8)
     cm = run_scenario(sc, seed=seed).classes["twostep_event"]
     simulated = cm.signals_total / (n_ed * duration_ms)
-    params = TwoStepParams(n_ue=n_ed, n_event=n_ed, rate_per_ms=6.8e-3,
-                           t_p=3, n_cr=4)
+    params = analysis.twostep_params(sc)
     return cm.generated, simulated, analysis.load_twostep(
         analysis.solve_twostep(params), params)
 

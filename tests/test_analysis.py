@@ -11,7 +11,7 @@ from oracles import (
     stationary_by_power_iteration,
     twostep_transition_matrix,
 )
-from ralab import analysis
+from ralab import analysis, core
 from ralab.analysis import (
     FourStepParams,
     InfeasibleError,
@@ -228,11 +228,6 @@ class TestTwoStepDetection:
 
 
 class TestTwoStepSolution:
-    def test_effective_period(self):
-        assert twostep(t_p=3).t_p_eff == pytest.approx(10 / 3)
-        assert twostep(t_p=2).t_p_eff == 2.0
-        assert twostep(t_p=1).t_p_eff == 1.0
-
     def test_probabilities_normalized(self):
         for n_event in (0, 30, 300, 700):
             sol = solve_twostep(twostep(n_event=n_event))
@@ -252,7 +247,8 @@ class TestTwoStepSolution:
         )
         sol = solve_twostep(params)
         p_conn = 1 - math.exp(-params.rate_per_ms * (params.t_up_ms + params.t_inactive_ms))
-        p_idle = math.exp(-params.rate_per_ms * params.t_p_eff * params.t_tti_ms)
+        p_idle = math.exp(-params.rate_per_ms * core.mean_class_stride_slots(params.t_p)
+                          * params.t_tti_ms)
         P = twostep_transition_matrix(
             max_attempts, sol.detect, params.p2, p_conn, p_idle
         )

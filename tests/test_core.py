@@ -9,6 +9,10 @@ class TestAllowedSlots:
     def test_period_three_first_class(self):
         assert core.allowed_slots(3, 1) == {1, 4, 7}
 
+    def test_period_three_rows(self):
+        rows = tuple(core.allowed_slots(3, k) for k in (1, 2, 3))
+        assert rows == ({1, 4, 7}, {2, 5, 8}, {3, 6, 9})
+
     def test_period_one_covers_frame(self):
         assert core.allowed_slots(1, 1) == set(range(10))
 
@@ -66,97 +70,22 @@ class TestNextTxSlot:
             core.next_tx_slot(-1, 1, 1)
 
 
-class TestLatencyBudget:
-    def test_fourstep_constants(self):
-        assert core.latency_components("fourstep") == (8.5, 3.0, 11.5)
+class TestMeanClassStrideSlots:
+    def test_effective_period(self):
+        assert core.mean_class_stride_slots(3) == pytest.approx(10 / 3)
+        assert core.mean_class_stride_slots(2) == 2.0
+        assert core.mean_class_stride_slots(1) == 1.0
 
-    def test_twostep_constants(self):
-        assert core.latency_components("twostep") == (3.5, 3.0, 6.5)
-
-    def test_unknown_procedure_rejected(self):
+    def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
-            core.latency_components("threestep")
+            core.mean_class_stride_slots(4)
 
+
+class TestLatencyBudget:
     def test_component_sums(self):
-        table = core.LatencyTable()
-        assert sum(table.components_ms) == 8.5
-        assert sum(table.components_ms[:4]) == 3.5
-        assert table.cp_fourstep_ms == 8.5
-        assert table.cp_twostep_ms == 3.5
-        assert table.total_fourstep_ms == 11.5
-        assert table.total_twostep_ms == 6.5
-
-    def test_quarter_ms_grid(self):
+        assert core.CP_FOURSTEP_MS == 8.5
+        assert core.CP_TWOSTEP_MS == 3.5
+        assert core.TOTAL_FOURSTEP_MS == 11.5
+        assert core.TOTAL_TWOSTEP_MS == 6.5
         for c in core.LATENCY_COMPONENTS_MS:
             assert (c / 0.25) == int(c / 0.25)
-
-
-class TestSlotClock:
-    def test_frame_slot(self):
-        clock = core.SlotClock(slot_index=27)
-        assert clock.frame_slot == 7
-        assert clock.time_ms == 13.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            core.SlotClock(t_tti=0.0)
-        with pytest.raises(ValueError):
-            core.SlotClock(slot_index=-1)
-
-
-class TestPreambleSpace:
-    def test_default_partition(self):
-        space = core.PreambleSpace()
-        assert space.n_cb == 50
-        assert space.n_cf + space.n_cr + space.n_cb == space.n_total
-
-    def test_split_helper(self):
-        space = core.PreambleSpace.split(n_cr=4)
-        assert space.n_cb == 50
-        assert list(space.twostep_pids) == [60, 61, 62, 63]
-        assert space.is_twostep_pid(63)
-        assert not space.is_twostep_pid(59)
-
-    def test_inconsistent_partition_rejected(self):
-        with pytest.raises(ValueError):
-            core.PreambleSpace(n_total=64, n_cf=10, n_cr=4, n_cb=49)
-
-    @given(n_cr=st.integers(min_value=0, max_value=54))
-    def test_split_always_consistent(self, n_cr):
-        space = core.PreambleSpace.split(n_cr=n_cr)
-        assert space.n_cf + space.n_cr + space.n_cb == space.n_total
-        assert space.n_cb + space.n_cr == 54
-        assert len(space.twostep_pids) == n_cr
-
-
-class TestTrafficModel:
-    def test_periodic(self):
-        model = core.TrafficModel(kind="periodic", period_ms=50.0)
-        assert model.period_ms == 50.0
-
-    def test_event(self):
-        model = core.TrafficModel(kind="event", rate_per_s=6.8)
-        assert model.rate_per_s == 6.8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            core.TrafficModel(kind="periodic", period_ms=0.0)
-        with pytest.raises(ValueError):
-            core.TrafficModel(kind="event", rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            core.TrafficModel(kind="bursty", rate_per_s=1.0)
-
-
-class TestRachSchedule:
-    def test_table_rows(self):
-        sched = core.RachSchedule(t_p=3)
-        assert sched.table == (
-            frozenset({1, 4, 7}),
-            frozenset({2, 5, 8}),
-            frozenset({3, 6, 9}),
-        )
-        assert sched.allowed(2) == {2, 5, 8}
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            core.RachSchedule(t_p=5)

@@ -240,14 +240,14 @@ class TestObserveTwostepAttempt:
         state = self.classified()
         base = 457.5  # last initial sample: the access lattice sits above it
         for i in range(1, 12):
-            observe_twostep_attempt(state, preamble_time=base + 50.0 * i, success=True)
+            observe_twostep_attempt(state, preamble_time=base + 50.0 * i)
         assert state.period_ms == pytest.approx(50.0)
         assert len(state.times) == state.window
 
     def test_first_success_anchors_directly(self):
         state = self.classified()
         period, margin = state.period_ms, state.margin_ms
-        observe_twostep_attempt(state, preamble_time=509.0, success=True)
+        observe_twostep_attempt(state, preamble_time=509.0)
         assert state.estimate.anchor_ms == 509.0
         # classification fit stays in force until the series can be refit
         assert state.estimate.period_ms == period
@@ -255,26 +255,18 @@ class TestObserveTwostepAttempt:
 
     def test_two_successes_refit_on_access_lattice(self):
         state = self.classified()
-        observe_twostep_attempt(state, preamble_time=509.0, success=True)
-        observe_twostep_attempt(state, preamble_time=559.0, success=True)
+        observe_twostep_attempt(state, preamble_time=509.0)
+        observe_twostep_attempt(state, preamble_time=559.0)
         assert state.estimate.period_ms == pytest.approx(50.0)
         assert state.estimate.anchor_ms == pytest.approx(559.0)
         assert state.estimate.margin_ms == pytest.approx(0.0)
-
-    def test_failure_only_clears_pending_time(self):
-        state = self.classified()
-        before = list(state.times)
-        state.temp_time = 123.0
-        observe_twostep_attempt(state, preamble_time=123.0, success=False)
-        assert state.times == before
-        assert state.temp_time is None
 
     def test_jitter_shows_up_in_margin(self):
         state = self.classified()
         base = 457.5
         for i in range(1, 11):
             jitter = 1.5 if i == 5 else 0.0
-            observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter, success=True)
+            observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter)
         assert state.margin_ms > 0.0
         assert state.estimate.margin_ms == state.margin_ms
 
@@ -282,4 +274,4 @@ class TestObserveTwostepAttempt:
         state = EstimatorState(phase="post")
         state.estimate = estimator.TrafficEstimate(kind="event")
         with pytest.raises(ValueError):
-            observe_twostep_attempt(state, preamble_time=1.0, success=True)
+            observe_twostep_attempt(state, preamble_time=1.0)

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ralab import metrics
 from ralab.metrics import (
     ClassMetrics,
+    ConservationError,
     MetricsReport,
     QUANTILES,
     ecdf_points,
@@ -115,8 +121,23 @@ class TestClassMetrics:
 
     def test_conservation_catches_leak(self):
         cm = make_metrics(generated=10, delivered=7, failed=2, pending=0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConservationError, match="packets leaked"):
             cm.check_conservation()
+
+    def test_conservation_checked_under_python_O(self):
+        code = (
+            "from ralab.metrics import ClassMetrics, ConservationError\n"
+            "cm = ClassMetrics(generated=10, delivered=7, failed=2)\n"
+            "try:\n"
+            "    cm.check_conservation()\n"
+            "except ConservationError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised: packets leaked: 7 + 2 + 0 != 10"
 
     def test_totals(self):
         cm = make_metrics(necessary=10, unnec_failed=1, unnec_rar=2, unnec_grant=3)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,13 +10,11 @@ from ralab.estimator import TrafficEstimate
 from ralab.protocol import (
     AllocationError,
     BsRegistry,
-    ContextId,
-    FourStepState,
     UeRecord,
     allocate_context_id,
     cell_id,
     filter_candidates,
-    rar_grant_decision,
+    grant_threshold,
     select_offset_index,
     select_preamble,
 )
@@ -33,6 +32,18 @@ def make_registry(ids=(), n_total=64, n_cr=4, t_p=3):
             )
         )
     return reg
+
+
+def assert_registry_consistent(reg):
+    """The (pid, t_ind) reverse index lists exactly the registered ids."""
+    rebuilt = {}
+    for id_, rec in reg.records.items():
+        assert rec.id == id_
+        rebuilt.setdefault((rec.pid, rec.t_ind), []).append(id_)
+    for pid in range(reg.n_total):
+        for t_ind in range(1, reg.t_p + 1):
+            assert sorted(reg.ids_for_cell(pid, t_ind)) == \
+                sorted(rebuilt.get((pid, t_ind), []))
 
 
 class TestSelectPreamble:
@@ -128,6 +139,8 @@ class TestFilterCandidates:
 
 
 class TestRarGrantDecision:
+    """A response carries the grant iff its time t >= grant_threshold(record)."""
+
     def make_periodic(self, t0, period, margin):
         rec = UeRecord(id=1, pid=63, t_ind=1, traffic_kind="periodic", t0_last=t0)
         rec.estimate = TrafficEstimate(kind="periodic", period_ms=period, margin_ms=margin)
@@ -135,70 +148,60 @@ class TestRarGrantDecision:
 
     def test_window_boundary_inclusive(self):
         rec = self.make_periodic(t0=100.0, period=50.0, margin=1.0)
-        assert rar_grant_decision(rec, 149.0) is True
-        assert rar_grant_decision(rec, 148.5) is False
+        assert grant_threshold(rec) == 149.0
+        assert 149.0 >= grant_threshold(rec)
+        assert not 148.5 >= grant_threshold(rec)
 
-    @given(t=st.floats(min_value=0, max_value=1e9, allow_nan=False))
-    def test_event_always_granted(self, t):
-        rec = UeRecord(id=2, pid=62, t_ind=1, traffic_kind="event")
-        assert rar_grant_decision(rec, t) is True
+    @given(t0=st.floats(min_value=0, max_value=1e9, allow_nan=False))
+    def test_event_always_granted(self, t0):
+        rec = UeRecord(id=2, pid=62, t_ind=1, traffic_kind="event", t0_last=t0)
+        assert grant_threshold(rec) == -math.inf
 
     def test_periodic_without_estimate_granted(self):
-        rec = UeRecord(id=1, pid=63, t_ind=1, traffic_kind="periodic")
-        assert rar_grant_decision(rec, 0.0) is True
+        rec = UeRecord(id=1, pid=63, t_ind=1, traffic_kind="periodic", t0_last=100.0)
+        assert grant_threshold(rec) == -math.inf
 
     def test_periodic_before_first_success_granted(self):
         rec = self.make_periodic(t0=None, period=50.0, margin=0.0)
-        rec.t0_last = None
-        assert rar_grant_decision(rec, 0.0) is True
+        assert grant_threshold(rec) == -math.inf
 
 
-class TestAllocateContextId:
+class TestAllocation:
     def test_periodic_takes_reserved_preamble(self):
         reg = make_registry()
-        cid = allocate_context_id(reg, "periodic", preferred_offset=1)
-        rec = reg.records[cid.id]
+        id_ = allocate_context_id(reg, "periodic", preferred_offset=1)
+        rec = reg.records[id_]
         assert rec.pid == 63
         assert rec.t_ind == 1
-        assert cid.id % 12 == 1  # every id of the (63, 1) cell
-        assert cid.uses_twostep
+        assert id_ % 12 == 1  # every id of the (63, 1) cell
 
     def test_first_allocation_takes_smallest_id(self):
         reg = make_registry()
-        cid = allocate_context_id(reg, "periodic", preferred_offset=1)
-        assert cid.id == 1
+        assert allocate_context_id(reg, "periodic", preferred_offset=1) == 1
 
     def test_event_avoids_reserved_preamble(self):
         reg = make_registry()
-        rng = random.Random(3)
         for _ in range(30):
-            cid = allocate_context_id(reg, "event", rng=rng, policy="uniform")
-            assert reg.records[cid.id].pid in {60, 61, 62}
+            id_ = allocate_context_id(reg, "event")
+            assert reg.records[id_].pid in {60, 61, 62}
 
     def test_balanced_policy_spreads_cells(self):
         reg = make_registry()
         for _ in range(9):
-            allocate_context_id(reg, "event", policy="balanced")
+            allocate_context_id(reg, "event")
         loads = [reg.cell_load(p, k) for p in (60, 61, 62) for k in (1, 2, 3)]
         assert loads == [1] * 9
-        reg.check_consistent()
+        assert_registry_consistent(reg)
 
     def test_round_trip_invariant(self):
         reg = make_registry()
-        rng = random.Random(11)
-        ids = [allocate_context_id(reg, "event", rng=rng, policy="uniform").id for _ in range(50)]
-        ids.append(allocate_context_id(reg, "periodic", preferred_offset=2).id)
+        ids = [allocate_context_id(reg, "event") for _ in range(50)]
+        ids.append(allocate_context_id(reg, "periodic", preferred_offset=2))
         for id_ in ids:
             rec = reg.records[id_]
             assert select_preamble(id_, reg.n_total, reg.n_cr) == rec.pid
             assert select_offset_index(id_, reg.n_cr, reg.t_p) == rec.t_ind
-        reg.check_consistent()
-
-    def test_full_cell_fails_without_growth(self):
-        reg = BsRegistry(n_cr=4, t_p=3, ids_per_cell=1)
-        allocate_context_id(reg, "periodic", preferred_offset=1)
-        with pytest.raises(AllocationError):
-            allocate_context_id(reg, "periodic", preferred_offset=1, allow_grow=False)
+        assert_registry_consistent(reg)
 
     def test_growth_is_flagged(self):
         reg = BsRegistry(n_cr=4, t_p=3, ids_per_cell=1)
@@ -210,31 +213,4 @@ class TestAllocateContextId:
     def test_needs_two_preambles_for_event_devices(self):
         reg = BsRegistry(n_cr=1, t_p=3)
         with pytest.raises(AllocationError):
-            allocate_context_id(reg, "event", policy="balanced")
-
-
-class TestContextId:
-    def test_zero_never_assigned(self):
-        with pytest.raises(ValueError):
-            ContextId(id=0)
-
-    def test_flag_selects_procedure(self):
-        assert ContextId(id=1, flag=0).uses_twostep
-        assert not ContextId(id=1, flag=1).uses_twostep
-
-
-class TestFourStepState:
-    def test_attempt_cap(self):
-        state = FourStepState(max_attempts=10)
-        for m in range(1, 11):
-            assert state.start_attempt() == m
-        assert state.exhausted
-        with pytest.raises(ValueError):
-            state.start_attempt()
-
-    def test_reset(self):
-        state = FourStepState(max_attempts=2)
-        state.start_attempt()
-        state.reset()
-        assert state.attempt == 0
-        assert not state.exhausted
+            allocate_context_id(reg, "event")

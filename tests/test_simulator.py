@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from ralab import core
+from ralab import core, protocol
 from ralab.metrics import MetricsReport
-from ralab.scenario import Scenario
+from ralab.scenario import Scenario, read_scenario
 from ralab.simulator import _Engine, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 MIXED = Scenario(
     duration_ms=5_000.0, n_cr=8, estimator_mode="on", detection="model",
@@ -153,6 +157,21 @@ class TestWorkedExample:
         # b and idle were granted without transmitting
         assert cm.unnec_rar == 2
         assert cm.unnec_grant == 2
+
+
+class TestGrantGate:
+    def test_heap_thresholds_follow_grant_threshold(self):
+        """The gated heap orders devices by protocol.grant_threshold."""
+        # a period off the 5 ms frame grid, so the fitted margins are not 0
+        sc = dataclasses.replace(read_scenario(SCENARIOS / "smart_factory_mix.scn"),
+                                 duration_ms=5_000.0, twostep_period_ms=47.0)
+        eng = _Engine(sc, seed=1)
+        eng.run()
+        gated = [ue for heap in eng.pu_heaps.values() for _, _, ue in heap]
+        assert any(math.isfinite(ue.threshold) for ue in gated)
+        assert any(ue.record.estimate.margin_ms > 0 for ue in gated)
+        for ue in gated:
+            assert ue.threshold == protocol.grant_threshold(ue.record)
 
 
 class TestUncontendedFourStep:
