@@ -228,6 +228,12 @@ class TestTwoStepDetection:
 
 
 class TestTwoStepSolution:
+    def test_effective_period(self):
+        # An inactive device waits half the mean class stride for its slot.
+        for t_p, stride in ((3, 10 / 3), (2, 2.0), (1, 1.0)):
+            sol = solve_twostep(twostep(t_p=t_p))
+            assert sol.holding_inactive == pytest.approx(0.5 * stride)
+
     def test_probabilities_normalized(self):
         for n_event in (0, 30, 300, 700):
             sol = solve_twostep(twostep(n_event=n_event))

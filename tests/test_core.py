@@ -82,10 +82,20 @@ class TestMeanClassStrideSlots:
 
 
 class TestLatencyBudget:
-    def test_component_sums(self):
+    def test_fourstep_constants(self):
         assert core.CP_FOURSTEP_MS == 8.5
-        assert core.CP_TWOSTEP_MS == 3.5
+        assert core.UP_DATA_MS == 3.0
         assert core.TOTAL_FOURSTEP_MS == 11.5
+
+    def test_twostep_constants(self):
+        assert core.CP_TWOSTEP_MS == 3.5
+        assert core.UP_DATA_MS == 3.0
         assert core.TOTAL_TWOSTEP_MS == 6.5
+
+    def test_component_sums(self):
+        assert sum(core.LATENCY_COMPONENTS_MS) == core.CP_FOURSTEP_MS
+        assert sum(core.LATENCY_COMPONENTS_MS[:4]) == core.CP_TWOSTEP_MS
+
+    def test_quarter_ms_grid(self):
         for c in core.LATENCY_COMPONENTS_MS:
             assert (c / 0.25) == int(c / 0.25)
