@@ -6,7 +6,10 @@ yields the stationary state probabilities, the mean holding time, the
 expected signaling load per device per ms, and the access-failure
 probability. The four-step chain couples to itself through the collision
 probability (more transmissions cause more collisions cause more
-retransmissions), solved as a one-dimensional fixed point. The optimizer
+retransmissions), solved as a one-dimensional fixed point: the collision
+probability is the closed form ``1 - (1 - tau/n_cb)^(N-1)``, and the root
+of ``rhs(tau) - tau`` is found by Illinois false position on the bracket
+``[0, 1]``, which always holds. The module needs only numpy. The optimizer
 sweeps the split of the shared preamble pool between the two procedures and
 minimizes the total signaling load subject to a failure-probability cap.
 """
@@ -17,13 +20,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import core
 
 
 class SolverError(RuntimeError):
-    """The fixed-point solve did not reach the required residual."""
+    """A chain has no finite solution, or its fixed point missed the residual."""
 
 
 class InfeasibleError(RuntimeError):
@@ -200,26 +202,39 @@ def collision_probability(tau: float, n_ue: int, n_cb: int) -> float:
     """Probability that >= 1 of the other ``n_ue - 1`` devices lands a
     detected transmission on the same preamble in the same slot.
 
-    Evaluated as the explicit binomial tail with log-gamma coefficients so
-    device counts up to 1e5 stay finite.
+    Each other device picks this preamble in this slot with probability
+    ``q = tau / n_cb``, so the binomial tail telescopes to the closed form
+    ``1 - (1 - q)^(n_ue - 1)``, evaluated as ``-expm1((n_ue - 1) log1p(-q))``
+    to stay accurate when ``q`` is tiny.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
     if n_ue < 1 or n_cb < 1:
         raise ValueError("n_ue and n_cb must be >= 1")
-    n = n_ue - 1
     q = tau / n_cb
     # branch on q, not tau: subnormal tau can underflow to q == 0.0
-    if n == 0 or q == 0.0:
+    if n_ue == 1 or q == 0.0:
         return 0.0
     if q >= 1.0:
         return 1.0
-    k = np.arange(1, n + 1, dtype=np.float64)
-    log_terms = (
-        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-        + k * math.log(q) + (n - k) * math.log1p(-q)
-    )
-    return float(min(1.0, np.exp(log_terms).sum()))
+    return -math.expm1((n_ue - 1) * math.log1p(-q))
+
+
+def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, float]:
+    """Stay probability and mean holding time (ms) of the connected state.
+
+    Raises SolverError when the stay probability rounds to 1 in float64
+    (rate times ``t_up_ms + t_inactive_ms`` above about 37): the chain's
+    connected weight ``1 / (1 - p_conn)`` is then infinite.
+    """
+    lam = params.rate_per_ms
+    p_conn = 1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
+    if p_conn == 1.0:
+        raise SolverError(
+            f"rate_per_ms {lam:g} too high: the connected state's stay "
+            "probability rounds to 1, so the chain has no finite solution"
+        )
+    return p_conn, p_conn / lam
 
 
 def _fourstep_chain(params: FourStepParams, rho_col: float):
@@ -237,7 +252,7 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     m = np.arange(1, M + 1, dtype=np.float64)
     pm1 = 1.0 - np.exp(-m)
 
-    p_conn = 1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
+    p_conn, hold_conn = _connected_state(params)
     p_idle = math.exp(-lam * t_tti)
 
     # f[m] is the unnormalized probability of the preamble state of attempt
@@ -253,7 +268,6 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     x_conn = p4 * pi4.sum() / (1.0 - p_conn)
     total = x_conn + 1.0 + (f + pi2 + pi3 + pi4).sum()
 
-    hold_conn = (1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))) / lam
     hold_idle = t_tti
     w, bw, wres = params.rar_window_ms, params.backoff_avg_ms, params.conres_timer_ms
     h1 = t_tti * pm1 + (t_tti + w + bw) * (1 - pm1)
@@ -279,48 +293,42 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
 def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> StationarySolution:
     """Solve the four-step chain coupled with the collision fixed point.
 
-    Root-finds h(tau) = rhs(tau) - tau by bisection after a sign check,
-    falling back to damped fixed-point iteration when no bracket exists.
+    Root-finds h(tau) = rhs(tau) - tau on the bracket [0, 1] by Illinois
+    false position. The bracket always holds: h(0) = rhs(0) >= 0, and
+    h(1) = rhs(1) - 1 < 0 because every preamble state is held for at
+    least one TTI and the other states take time too, so a device makes
+    fewer than one detected transmission per slot.
     """
 
     def h(tau: float) -> float:
         rho = collision_probability(tau, params.n_ue, params.n_cb)
         return _fourstep_chain(params, rho)[0] - tau
 
-    eps = 1e-12
-    a, b = eps, 1.0 - eps
+    a, b = 0.0, 1.0
     ha, hb = h(a), h(b)
-    tau = None
-    if ha == 0.0:
-        tau = a
-    elif hb == 0.0:
-        tau = b
-    elif ha * hb < 0:
-        lo, hi = a, b
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            hm = h(mid)
-            if hm == 0.0 or (hi - lo) < 1e-16:
-                break
-            if ha * hm < 0:
-                hi = mid
-            else:
-                lo = mid
-        tau = 0.5 * (lo + hi)
-    if tau is None or abs(h(tau)) >= residual_tol:
-        # Damped iteration: tau <- tau + 0.5 (rhs(tau) - tau).
-        tau = a if tau is None else tau
-        for _ in range(100_000):
-            step = h(tau)
-            if abs(step) < 1e-15:
-                break
-            tau = min(max(tau + 0.5 * step, 0.0), 1.0)
-    residual = abs(h(tau))
-    if residual >= residual_tol:
-        raise SolverError(
-            f"fixed point residual {residual:.3e} >= {residual_tol:.1e} "
-            f"(h({a:.1e}) = {ha:.3e}, h(1 - {eps:.0e}) = {hb:.3e})"
-        )
+    if not ha >= 0.0 > hb:
+        raise SolverError(f"no sign change on [0, 1]: h(0) = {ha:.3e}, h(1) = {hb:.3e}")
+    tau, ht = a, ha
+    side = 0
+    for _ in range(100):  # converges in under 20 evaluations
+        if ht == 0.0 or b - a <= 4e-16 * b:
+            break
+        tau = (a * hb - b * ha) / (hb - ha)
+        ht = h(tau)
+        # Illinois: halve the weight of an end that stayed twice in a row
+        if ht > 0.0:
+            a, ha = tau, ht
+            if side == 1:
+                hb *= 0.5
+            side = 1
+        else:
+            b, hb = tau, ht
+            if side == -1:
+                ha *= 0.5
+            side = -1
+    residual = abs(ht)
+    if not residual < residual_tol:
+        raise SolverError(f"fixed point residual {residual:.3e} >= {residual_tol:.1e}")
 
     rho = collision_probability(tau, params.n_ue, params.n_cb)
     _, c = _fourstep_chain(params, rho)
@@ -409,7 +417,7 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     p2 = params.p2
 
     pm1 = _twostep_detection_vector(params)
-    p_conn = 1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
+    p_conn, hold_conn = _connected_state(params)
     stride = core.mean_class_stride_slots(params.t_p)
     p_idle = math.exp(-lam * stride * t_tti)
 
@@ -421,7 +429,6 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     x_conn = p2 * pi2.sum() / (1.0 - p_conn)
     total = x_conn + 1.0 + (f + pi2).sum()
 
-    hold_conn = (1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))) / lam
     hold_idle = t_tti * stride
     w = params.rar_window_ms
     h1 = t_tti * pm1 + (t_tti + w) * (1 - pm1)
@@ -520,6 +527,7 @@ def optimize_preamble_split(
     probability at or above ``p_fail_max``, or a pool too small for its
     population), and returns the argmin of
     ``load_fourstep * N_cb + load_twostep * N_ed`` with the full table.
+    A chain that cannot be solved raises ``SolverError``.
     """
     if n_cr_max is None:
         n_cr_max = n_pool
@@ -540,15 +548,11 @@ def optimize_preamble_split(
         if n_event > 0 and n_cr < 2:
             feasible = False
         if feasible and n_fourstep > 0:
-            try:
-                sol = solve_fourstep(replace(fourstep, n_cb=n_cb))
-            except SolverError:
+            sol = solve_fourstep(replace(fourstep, n_cb=n_cb))
+            p_fail = failure_probability(sol)
+            load_cb = load_fourstep(sol)
+            if p_fail >= p_fail_max:
                 feasible = False
-            else:
-                p_fail = failure_probability(sol)
-                load_cb = load_fourstep(sol)
-                if p_fail >= p_fail_max:
-                    feasible = False
         if feasible and n_event > 0:
             sol2 = solve_twostep(replace(twostep, n_cr=n_cr))
             load_ed = load_twostep(sol2, replace(twostep, n_cr=n_cr))

@@ -2,10 +2,48 @@
 
 The transition matrices here are written directly from the state diagrams,
 on purpose not reusing any closed-form recursion from the package, so they
-can arbitrate the analytical solutions.
+can arbitrate the analytical solutions. The collision probability is the
+explicit binomial tail the package's closed form telescopes, and the root
+finder is plain bisection, to arbitrate the package's fixed point.
 """
 
+import math
+
 import numpy as np
+from scipy.special import gammaln
+
+
+def collision_probability_binomial(tau, n_ue, n_cb):
+    """P(>= 1 of the other n_ue - 1 devices picks this preamble and slot).
+
+    The explicit binomial tail sum over k = 1 .. n_ue - 1 colliders, with
+    log-gamma coefficients so device counts up to 1e5 stay finite.
+    """
+    n = n_ue - 1
+    q = tau / n_cb
+    if n == 0 or q == 0.0:
+        return 0.0
+    if q >= 1.0:
+        return 1.0
+    k = np.arange(1, n + 1, dtype=np.float64)
+    log_terms = (
+        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        + k * math.log(q) + (n - k) * math.log1p(-q)
+    )
+    return float(min(1.0, np.exp(log_terms).sum()))
+
+
+def root_by_bisection(h, lo=0.0, hi=1.0):
+    """Root of h on [lo, hi] (h(lo) >= 0 > h(hi)), bisected to the last bit."""
+    assert h(lo) >= 0.0 > h(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if h(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def fourstep_transition_matrix(M, detect, p2, p3, p4, p_conn, p_idle):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    collision_probability_binomial,
     fourstep_transition_matrix,
+    root_by_bisection,
     solution_vector,
     stationary_by_power_iteration,
     twostep_transition_matrix,
@@ -79,15 +81,14 @@ class TestCollisionProbability:
         assert collision_probability(5e-324, 2, 2) == 0.0
 
     def test_matches_closed_form(self):
-        # The binomial sum telescopes to 1 - (1 - tau/n_cb)^(N-1); the sum
-        # is the implementation under test, the closed form the oracle.
-        # expm1/log1p keeps the oracle accurate when tau/n_cb is tiny, where
-        # the naive 1 - (1-x)^n form loses half the mantissa to cancellation.
+        # The binomial sum telescopes to 1 - (1 - tau/n_cb)^(N-1); the
+        # closed form is the implementation under test, the explicit sum
+        # the oracle.
         for n_ue in (2, 5, 100, 10_000, 100_000):
             for tau in (1e-6, 1e-3, 0.05, 0.4):
                 for n_cb in (5, 25, 54):
                     got = collision_probability(tau, n_ue, n_cb)
-                    want = -math.expm1((n_ue - 1) * math.log1p(-tau / n_cb))
+                    want = collision_probability_binomial(tau, n_ue, n_cb)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
     def test_monotone_in_population_and_pool(self):
@@ -183,6 +184,27 @@ class TestFourStepSolution:
         assert 0.0 <= sol.tau <= 1.0
         assert 0.0 <= sol.rho_col <= 1.0
         assert (sol.holding > 0).all()
+
+
+class TestFourStepFixedPoint:
+    @staticmethod
+    def rhs(params, tau, collision=collision_probability):
+        return analysis._fourstep_chain(
+            params, collision(tau, params.n_ue, params.n_cb))[0]
+
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12, 1e-13, 1e-15])
+    def test_low_rate_fixed_point(self, rate):
+        # tau is about rate * t_tti here, below any absolute tolerance
+        params = fourstep(rate=rate)
+        sol = solve_fourstep(params)
+        assert abs(self.rhs(params, sol.tau) - sol.tau) <= 1e-9 * sol.tau
+
+    @pytest.mark.parametrize("n_ue", [1, 40, 23_000, 100_000])
+    def test_root_matches_oracle_bisection(self, n_ue):
+        params = fourstep(n_ue=n_ue, rate=RATE_HALF_PER_S)
+        want = root_by_bisection(
+            lambda tau: self.rhs(params, tau, collision_probability_binomial) - tau)
+        assert solve_fourstep(params).tau == pytest.approx(want, rel=1e-12)
 
 
 class TestFourStepMatrixOracle:

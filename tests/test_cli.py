@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from ralab import analysis
 from ralab.cli import main
 from ralab.scenario import Scenario, emit_scenario
+
+FULL_SCALE = Path(__file__).resolve().parent.parent / "scenarios" / "full_scale.scn"
 
 TINY_SIM = [
     "--set", "duration_ms=2000",
@@ -51,6 +54,20 @@ class TestExitCodes:
     def test_analyze_needs_population(self, capsys):
         assert main(["--mode", "analyze"]) == 1
         assert "population" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "traffic.fourstep.rate_per_s=5000",
+        "traffic.twostep.event_rate_per_s=5000",
+    ])
+    def test_rate_beyond_float_range_is_exit_1(self, override, tmp_path, capsys):
+        # rate * (t_up + t_inactive) = 40: the connected state's stay
+        # probability rounds to 1, which the solvers report as SolverError
+        argv = ["--mode", "analyze", "--scenario", str(FULL_SCALE),
+                "--set", override, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate_per_ms 5 too high")
+        assert err.count("\n") == 1
 
     def test_validate_pass_is_exit_0(self, capsys):
         argv = [
