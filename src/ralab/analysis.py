@@ -52,16 +52,15 @@ class FourStepParams:
     def __post_init__(self) -> None:
         if self.n_ue < 1:
             raise ValueError("n_ue must be >= 1")
-        if self.rate_per_ms <= 0:
-            raise ValueError("rate_per_ms must be > 0")
         if self.n_cb < 1:
             raise ValueError("n_cb must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        for name in ("t_tti_ms", "t_up_ms", "t_inactive_ms", "rar_window_ms",
-                     "backoff_avg_ms", "conres_timer_ms"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
+                     "rar_window_ms", "backoff_avg_ms", "conres_timer_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("p2", "p4"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -88,8 +87,10 @@ class TwoStepParams:
             raise ValueError("device counts must be >= 0")
         if self.n_event > self.n_ue:
             raise ValueError("n_event must not exceed n_ue")
-        if self.rate_per_ms <= 0:
-            raise ValueError("rate_per_ms must be > 0")
+        if not math.isfinite(self.rate_per_ms) or self.rate_per_ms <= 0:
+            raise ValueError(
+                f"rate_per_ms must be finite and > 0, got {self.rate_per_ms!r}"
+            )
         if self.t_p not in (1, 2, 3):
             raise ValueError("t_p must be in {1, 2, 3}")
         if self.n_event > 0 and self.n_cr < 2:
@@ -253,13 +254,12 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     pm1 = 1.0 - np.exp(-m)
 
     p_conn, hold_conn = _connected_state(params)
-    p_idle = math.exp(-lam * t_tti)
 
     # f[m] is the unnormalized probability of the preamble state of attempt
     # m + 1, with the inactive state fixed at weight 1.
     fail = (1 - pm1) + pm1 * (1 - p2) + pm1 * p2 * (1 - p3) + pm1 * p2 * p3 * (1 - p4)
     f = np.empty(M)
-    f[0] = 1.0 - p_idle
+    f[0] = -math.expm1(-lam * t_tti)  # expm1 keeps tiny rates precise
     for i in range(1, M):
         f[i] = f[i - 1] * fail[i - 1]
     pi2 = pm1 * f
@@ -369,22 +369,27 @@ def failure_probability(solution: StationarySolution) -> float:
     return float(out)
 
 
-def twostep_detection_prob(m: int, params: TwoStepParams, p_prev=()) -> float:
-    """Detection probability of the m-th preamble under cell sharing.
+def twostep_detection_prob(params: TwoStepParams, p_prev=()) -> np.ndarray:
+    """Detection probabilities of the m-th preamble, m = 1..M, under cell sharing.
 
     Devices in the same cell that transmit simultaneously add their attempt
     indices to the detection exponent (the receiver sees the superposition),
-    so detection is better than the single-device ``1 - e^{-m}``. ``p_prev``
-    is the current estimate of the per-attempt detection vector; missing
-    entries fall back to the single-device baseline.
+    so detection is better than the single-device ``1 - e^{-m}``: attempt m
+    is detected with ``1 - e^{-(m + S)}``, where the peers' share ``S`` sums
+    over their attempts j and is the same for every m. ``p_prev`` is the
+    current estimate of the per-attempt detection vector; missing entries
+    fall back to the single-device baseline.
     """
-    if not 1 <= m <= params.max_attempts:
-        raise ValueError("m must be in [1, max_attempts]")
+    M = params.max_attempts
+    if len(p_prev) > M:
+        raise ValueError(
+            f"p_prev has {len(p_prev)} attempts, more than max_attempts = {M}"
+        )
     peers = math.ceil(params.n_rar) - 1
-    exponent = float(m)
+    shared = 0.0
     if peers > 0:
         per_slot = core.mean_class_stride_slots(params.t_p) / params.slot_avg
-        for j in range(1, params.max_attempts + 1):
+        for j in range(1, M + 1):
             if j == 1:
                 prev = 0.0
             elif j - 2 < len(p_prev):
@@ -392,17 +397,15 @@ def twostep_detection_prob(m: int, params: TwoStepParams, p_prev=()) -> float:
             else:
                 prev = 1.0 - math.exp(-(j - 1.0))
             q_j = min(max(per_slot * (1.0 - prev), 0.0), 1.0)
-            exponent += j * peers * q_j
-    return 1.0 - math.exp(-exponent)
+            shared += j * peers * q_j
+    return 1.0 - np.exp(-(np.arange(1, M + 1) + shared))
 
 
 def _twostep_detection_vector(params: TwoStepParams) -> np.ndarray:
     M = params.max_attempts
     p = np.array([1.0 - math.exp(-m) for m in range(1, M + 1)])
     for _ in range(500):
-        p_new = np.array(
-            [twostep_detection_prob(m, params, p) for m in range(1, M + 1)]
-        )
+        p_new = twostep_detection_prob(params, p)
         if np.max(np.abs(p_new - p)) < 1e-14:
             return p_new
         p = p_new
@@ -419,10 +422,9 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     pm1 = _twostep_detection_vector(params)
     p_conn, hold_conn = _connected_state(params)
     stride = core.mean_class_stride_slots(params.t_p)
-    p_idle = math.exp(-lam * stride * t_tti)
 
     f = np.empty(M)
-    f[0] = 1.0 - p_idle
+    f[0] = -math.expm1(-lam * stride * t_tti)
     for i in range(1, M):
         f[i] = f[i - 1] * ((1 - pm1[i - 1]) + pm1[i - 1] * (1 - p2))
     pi2 = pm1 * f

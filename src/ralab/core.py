@@ -9,14 +9,18 @@ Shared vocabulary for the whole package:
 * a schedule period ``t_p`` in {1, 2, 3} partitions the frame slots into
   ``t_p`` disjoint classes; a device with offset index ``t_ind`` may transmit
   a preamble only in slots of its own class;
-* every duration is an exact multiple of 0.25 ms, so float arithmetic on
-  them is exact in binary.
+* the slot length ``t_tti`` is a multiple of ``TTI_GRID_MS`` (0.125 ms,
+  which covers the NR slot lengths 1, 0.5, 0.25 and 0.125 ms), and a
+  scenario with any other value is rejected; slot times ``s * t_tti`` and the
+  fixed latency budget below are then exact binary fractions, and sums and
+  differences of them are exact in float arithmetic.
 """
 
 from __future__ import annotations
 
 FRAME_LEN = 10
 DEFAULT_T_TTI_MS = 0.5
+TTI_GRID_MS = 0.125  # every slot length is a whole multiple of this
 
 # Fixed per-message latency budget of contention-based access (ms):
 # scheduling alignment, preamble tx, detection + response tx, device

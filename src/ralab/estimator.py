@@ -6,7 +6,9 @@ station timestamps its uplink packets. Once ``r_threshold`` packets arrived
 ``periodic`` or ``event`` from the variance of its inter-reception times.
 Periodic devices additionally get a period/margin estimate via least
 squares and a preferred transmission-slot class. After classification the
-estimate is refreshed from the preamble times of successful accesses.
+estimate is refreshed from the preamble times of successful accesses: the
+regression sums of that window are kept as running sums, so a refresh costs
+O(1) for the fit plus one O(window) pass for the margin.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ class EstimatorState:
     guard_ms: float = 0.0             # schedule-quantization width of the gate
     ticks: list[int] = field(default_factory=list)  # period number per sample
     anchor_tick: int = 0              # period number of the current anchor
+    # running regression sums over the access window (ticks, times)
+    sum_x: int = 0
+    sum_xx: int = 0
+    sum_y: float = 0.0
+    sum_xy: float = 0.0
 
     @property
     def r(self) -> int:
@@ -71,10 +78,22 @@ def linear_regression(times, xs=None) -> tuple[float, float]:
         xs = range(r)
     elif len(xs) != r:
         raise ValueError("xs must match times in length")
-    sx = math.fsum(xs)
-    sxx = math.fsum(x * x for x in xs)
-    sy = math.fsum(times)
-    sxy = math.fsum(x * t for x, t in zip(xs, times))
+    return regression_from_sums(
+        r,
+        math.fsum(xs),
+        math.fsum(x * x for x in xs),
+        math.fsum(times),
+        math.fsum(x * t for x, t in zip(xs, times)),
+    )
+
+
+def regression_from_sums(r: int, sx, sxx, sy, sxy) -> tuple[float, float]:
+    """``(intercept, slope)`` of the least-squares line through ``r`` samples.
+
+    Takes the sums over the samples of x, x², y and x·y; this is the
+    arithmetic ``linear_regression`` applies to its ``fsum``s and the
+    access-window refit to its running sums.
+    """
     denom = r * sxx - sx * sx
     if denom == 0:
         raise ValueError("sample positions must not all coincide")
@@ -92,7 +111,7 @@ def margin_value(times, intercept: float, slope: float, xs=None) -> float:
         xs = range(r)
     elif len(xs) != r:
         raise ValueError("xs must match times in length")
-    return math.fsum(abs(t - (intercept + x * slope)) for x, t in zip(xs, times)) / r
+    return math.fsum([abs(t - (intercept + x * slope)) for x, t in zip(xs, times)]) / r
 
 
 def successive_difference_variance(times) -> float:
@@ -207,6 +226,8 @@ def classify_traffic_type(
     state.times = []
     state.ticks = []
     state.anchor_tick = 0
+    state.sum_x = state.sum_xx = 0
+    state.sum_y = state.sum_xy = 0.0
     return est
 
 
@@ -214,7 +235,15 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     """Fold a successful two-step access into a periodic estimate.
 
     The sample is the preamble reception time; the sample window keeps the
-    most recent ``state.window`` values so refreshing stays O(window).
+    most recent ``state.window`` values.  The regression sums over the
+    window are running sums: each sample is added once and subtracted once
+    when it leaves, and when the window slides the sums are rebased onto
+    its new first tick algebraically, so the fit costs O(1); only the
+    margin (a mean absolute residual) takes one O(window) pass.  Tick sums
+    are integers and exact.  Preamble times are whole slots, ``(s+1)·t_tti``
+    with ``t_tti`` a multiple of 0.125 ms (which ``Scenario`` enforces), so
+    every partial float sum is an exact binary fraction as well and the fit
+    equals ``linear_regression`` over the same window bit for bit.
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -247,20 +276,34 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         tick = state.anchor_tick + elapsed
     else:
         tick = state.anchor_tick + 1 if state.times else 0
-    state.times.append(preamble_time)
-    state.ticks.append(tick)
-    if state.window and len(state.times) > state.window:
-        drop = len(state.times) - state.window
-        del state.times[:drop]
-        del state.ticks[:drop]
-        base = state.ticks[0]
-        state.ticks = [k - base for k in state.ticks]
+    times, ticks = state.times, state.ticks
+    times.append(preamble_time)
+    ticks.append(tick)
+    sx = state.sum_x + tick
+    sxx = state.sum_xx + tick * tick
+    sy = state.sum_y + preamble_time
+    sxy = state.sum_xy + tick * preamble_time
+    r = len(times)
+    if 0 < state.window < r:
+        while r > state.window:
+            x, y = ticks.pop(0), times.pop(0)
+            sx -= x
+            sxx -= x * x
+            sy -= y
+            sxy -= x * y
+            r -= 1
+        # rebase every tick x to x - base; the x² line needs the old sum
+        # of x, so that sum moves last
+        base = ticks[0]
+        ticks[:] = [k - base for k in ticks]
+        sxy -= base * sy
+        sxx -= base * (2 * sx - r * base)
+        sx -= r * base
         tick -= base
-    if len(state.times) >= 2:
-        state.intercept_ms, state.period_ms = linear_regression(state.times, state.ticks)
-        state.margin_ms = margin_value(
-            state.times, state.intercept_ms, state.period_ms, state.ticks
-        )
+    state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
+    if r >= 2:
+        state.intercept_ms, state.period_ms = regression_from_sums(r, sx, sxx, sy, sxy)
+        state.margin_ms = margin_value(times, state.intercept_ms, state.period_ms, ticks)
         est.period_ms = state.period_ms
         est.intercept_ms = state.intercept_ms
         est.margin_ms = state.margin_ms

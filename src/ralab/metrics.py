@@ -1,9 +1,11 @@
 """Latency and signaling-load accounting for simulation runs.
 
 Latency samples live in value -> count histograms: every produced latency
-is a multiple of 0.25 ms, so histograms are lossless and keep full-scale
-runs (tens of millions of packets) small. Reports merge associatively,
-which is how multi-seed replications pool their samples.
+is built from slot times on the ``core.TTI_GRID_MS`` grid, the fixed latency
+budget and the scenario's uplink time, so it is exact and takes few distinct
+values; histograms are lossless and keep full-scale runs (tens of millions
+of packets) small. Reports merge associatively, which is how multi-seed
+replications pool their samples.
 """
 
 from __future__ import annotations

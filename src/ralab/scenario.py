@@ -10,7 +10,10 @@ that parses back to an identical Scenario.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from . import core
 
 _MODES = ("on", "off", "oracle")
 _DETECTIONS = ("model", "perfect")
@@ -51,12 +54,20 @@ class Scenario:
     fourstep_rate_per_s: float = 0.5
 
     def __post_init__(self):
+        # NaN passes every range check below, and no setting can be infinite
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite, got {value!r}")
         if self.duration_ms <= 0:
             raise ScenarioError("duration_ms must be > 0")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
-        if self.t_tti_ms <= 0:
-            raise ScenarioError("t_tti_ms must be > 0")
+        if self.t_tti_ms <= 0 or self.t_tti_ms % core.TTI_GRID_MS != 0:
+            raise ScenarioError(
+                f"t_tti_ms must be a positive multiple of {core.TTI_GRID_MS} ms, "
+                f"got {self.t_tti_ms!r}"
+            )
         if self.t_p not in (1, 2, 3):
             raise ScenarioError("t_p must be 1, 2 or 3")
         if self.n_total < 1:
@@ -102,6 +113,10 @@ class Scenario:
             raise ScenarioError("twostep_event_rate_per_s must be > 0")
         if self.fourstep_n_ue > 0 and self.fourstep_rate_per_s <= 0:
             raise ScenarioError("fourstep_rate_per_s must be > 0")
+        if self.fourstep_n_ue > 0 and self.n_cb < 1:
+            raise ScenarioError(
+                f"n_cb must be >= 1 to serve four-step devices, got n_cb={self.n_cb}"
+            )
         n_twostep = self.twostep_n_periodic + self.twostep_n_event
         if n_twostep > 0 and self.estimator_mode != "off":
             if self.twostep_n_event > 0 and self.n_cr < 2:

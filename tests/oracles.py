@@ -4,7 +4,10 @@ The transition matrices here are written directly from the state diagrams,
 on purpose not reusing any closed-form recursion from the package, so they
 can arbitrate the analytical solutions. The collision probability is the
 explicit binomial tail the package's closed form telescopes, and the root
-finder is plain bisection, to arbitrate the package's fixed point.
+finder is plain bisection, to arbitrate the package's fixed point. The
+two-step detection probability is the per-attempt form the package's vector
+form factors, and the exact four-step fixed point solves the explicit chain
+in 50-digit arithmetic.
 """
 
 import math
@@ -108,3 +111,89 @@ def solution_vector(solution):
     return np.concatenate(
         ([solution.pi_connected, solution.pi_inactive], solution.pi.ravel())
     )
+
+
+def twostep_detection_prob_per_m(m, params, p_prev=()):
+    """Detection probability of the m-th preamble under cell sharing.
+
+    One attempt at a time: the exponent starts at m and adds every peer
+    attempt j in turn, so the peers' sum is recomputed for each m.
+    """
+    assert 1 <= m <= params.max_attempts
+    peers = math.ceil(params.n_rar) - 1
+    exponent = float(m)
+    if peers > 0:
+        stride = 10.0 / 3.0 if params.t_p == 3 else float(params.t_p)
+        per_slot = stride / params.slot_avg
+        for j in range(1, params.max_attempts + 1):
+            if j == 1:
+                prev = 0.0
+            elif j - 2 < len(p_prev):
+                prev = p_prev[j - 2]
+            else:
+                prev = 1.0 - math.exp(-(j - 1.0))
+            q_j = min(max(per_slot * (1.0 - prev), 0.0), 1.0)
+            exponent += j * peers * q_j
+    return 1.0 - math.exp(-exponent)
+
+
+def fourstep_tau_exact(params, iterations=8):
+    """The four-step fixed point tau = rhs(tau), in 50-digit arithmetic.
+
+    Solves the explicit chain of ``fourstep_transition_matrix`` for its
+    stationary distribution, weights each state by its holding time, and
+    iterates tau -> rhs(tau) from 0 until a step no longer moves it. The
+    iteration contracts by about the collision probability's slope, so it
+    suits low rates, where it settles within a few steps.
+    """
+    from mpmath import mp
+
+    with mp.workdps(50):
+        M = params.max_attempts
+        lam = mp.mpf(params.rate_per_ms)
+        t_tti = mp.mpf(params.t_tti_ms)
+        w, bw = mp.mpf(params.rar_window_ms), mp.mpf(params.backoff_avg_ms)
+        wres = mp.mpf(params.conres_timer_ms)
+        p2, p4 = mp.mpf(params.p2), mp.mpf(params.p4)
+        detect = [-mp.expm1(-m) for m in range(1, M + 1)]
+        p_conn = -mp.expm1(-lam * (params.t_up_ms + params.t_inactive_ms))
+        p_idle = mp.exp(-lam * t_tti)
+
+        def rhs(tau):
+            p3 = (1 - tau / params.n_cb) ** (params.n_ue - 1)
+            size = 2 + 4 * M
+            P = mp.zeros(size, size)
+            P[0, 0], P[0, 1] = p_conn, 1 - p_conn
+            P[1, 1], P[1, 2] = p_idle, -mp.expm1(-lam * t_tti)
+            hold = [p_conn / lam, t_tti]
+            for m in range(1, M + 1):
+                base = 2 + 4 * (m - 1)
+                nxt = 2 + 4 * m if m < M else 1
+                d = detect[m - 1]
+                for n, (p, target) in enumerate(
+                        ((d, base + 1), (p2, base + 2), (p3, base + 3), (p4, 0))):
+                    P[base + n, target] += p
+                    P[base + n, nxt] += 1 - p
+                hold += [
+                    t_tti * d + (t_tti + w + bw) * (1 - d),
+                    mp.mpf("1.5") * p2 + (w + bw) * (1 - p2),
+                    mp.mpf("1.75") * p3 + (mp.mpf("1.75") + wres + bw) * (1 - p3),
+                    mp.mpf("4.5") * p4 + (wres + bw) * (1 - p4),
+                ]
+            # pi (P - I) = 0 with the last balance equation swapped for sum(pi) = 1
+            A = P.T - mp.eye(size)
+            for j in range(size):
+                A[size - 1, j] = 1
+            b = mp.zeros(size, 1)
+            b[size - 1] = 1
+            pi = mp.lu_solve(A, b)
+            t_tot = sum(pi[i] * hold[i] for i in range(size))
+            first = sum(pi[2 + 4 * (m - 1)] * detect[m - 1] for m in range(1, M + 1))
+            return first * t_tti / t_tot
+
+        tau = mp.mpf(0)
+        for _ in range(iterations):
+            tau, prev = rhs(tau), tau
+            if abs(tau - prev) <= mp.mpf("1e-40") * tau:
+                return float(tau)
+        raise AssertionError(f"no fixed point within {iterations} iterations")

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     collision_probability_binomial,
+    fourstep_tau_exact,
     fourstep_transition_matrix,
     root_by_bisection,
     solution_vector,
     stationary_by_power_iteration,
+    twostep_detection_prob_per_m,
     twostep_transition_matrix,
 )
 from ralab import analysis, core
@@ -199,6 +201,16 @@ class TestFourStepFixedPoint:
         sol = solve_fourstep(params)
         assert abs(self.rhs(params, sol.tau) - sol.tau) <= 1e-9 * sol.tau
 
+    def test_tiny_rate_keeps_first_preamble_weight(self):
+        # rate * t_tti = 5e-17: 1 - exp(-x) rounds to 0 there, expm1 does not
+        assert solve_fourstep(fourstep(rate=1e-16)).tau > 0.0
+        assert solve_twostep(twostep(rate=1e-16)).tau > 0.0
+
+    def test_tiny_rate_matches_exact_fixed_point(self):
+        params = fourstep(rate=1e-15)
+        want = fourstep_tau_exact(params)
+        assert solve_fourstep(params).tau == pytest.approx(want, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("n_ue", [1, 40, 23_000, 100_000])
     def test_root_matches_oracle_bisection(self, n_ue):
         params = fourstep(n_ue=n_ue, rate=RATE_HALF_PER_S)
@@ -225,6 +237,15 @@ class TestFourStepMatrixOracle:
         assert np.abs(got - want).max() < 1e-8
 
 
+class TestParamsValidation:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="rate_per_ms"):
+            fourstep(rate=rate)
+        with pytest.raises(ValueError, match="rate_per_ms"):
+            twostep(rate=rate)
+
+
 class TestTwoStepDetection:
     def test_cell_mean_devices(self):
         assert twostep().n_rar == pytest.approx(300 / 84, rel=1e-12)
@@ -232,9 +253,8 @@ class TestTwoStepDetection:
     def test_lonely_cell_reduces_to_baseline(self):
         params = twostep(n_event=0, n_cr=29)
         assert params.n_rar == 1.0
-        assert twostep_detection_prob(1, params) == pytest.approx(
-            1 - math.exp(-1), rel=1e-12
-        )
+        want = [1 - math.exp(-m) for m in range(1, params.max_attempts + 1)]
+        assert twostep_detection_prob(params) == pytest.approx(want, rel=1e-12)
 
     def test_sharing_never_hurts(self):
         params = twostep(n_event=700, n_cr=20)
@@ -243,10 +263,31 @@ class TestTwoStepDetection:
             assert sol.detect[m - 1] >= 1 - math.exp(-m) - 1e-15
 
     def test_attempt_range_checked(self):
+        # the previous vector may be partial, never longer than max_attempts
+        twostep_detection_prob(twostep(), [0.5] * 10)
         with pytest.raises(ValueError):
-            twostep_detection_prob(0, twostep())
-        with pytest.raises(ValueError):
-            twostep_detection_prob(11, twostep())
+            twostep_detection_prob(twostep(), [0.5] * 11)
+
+    @given(
+        n_event=st.integers(min_value=0, max_value=1000),
+        n_cr=st.integers(min_value=2, max_value=54),
+        t_p=st.sampled_from([1, 2, 3]),
+        rate=st.floats(min_value=1e-4, max_value=0.1),
+        max_attempts=st.integers(min_value=1, max_value=10),
+        n_prev=st.integers(min_value=0, max_value=10),
+        prev=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vector_matches_per_attempt_oracle(
+            self, n_event, n_cr, t_p, rate, max_attempts, n_prev, prev):
+        params = twostep(n_event=n_event, n_cr=n_cr, rate=rate, t_p=t_p,
+                         max_attempts=max_attempts)
+        p_prev = [prev] * min(n_prev, max_attempts)
+        got = twostep_detection_prob(params, p_prev)
+        want = [twostep_detection_prob_per_m(m, params, p_prev)
+                for m in range(1, max_attempts + 1)]
+        # the vector adds m after the peers' sum, the oracle before it
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestTwoStepSolution:

@@ -69,6 +69,22 @@ class TestExitCodes:
         assert err.startswith("error: rate_per_ms 5 too high")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["simulate", "analyze"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("population, key", [
+        ("traffic.fourstep.n_ue", "traffic.fourstep.rate_per_s"),
+        ("traffic.twostep.n_event", "traffic.twostep.event_rate_per_s"),
+    ])
+    def test_non_finite_rate_is_exit_1(self, mode, value, population, key,
+                                       tmp_path, capsys):
+        argv = ["--mode", mode, "--set", f"{population}=100",
+                "--set", f"{key}={value}", "--set", "duration_ms=1000",
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"must be finite, got {value}" in err
+        assert err.count("\n") == 1
+
     def test_validate_pass_is_exit_0(self, capsys):
         argv = [
             "--mode", "validate",

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ralab import estimator
@@ -275,3 +276,68 @@ class TestObserveTwostepAttempt:
         state.estimate = estimator.TrafficEstimate(kind="event")
         with pytest.raises(ValueError):
             observe_twostep_attempt(state, preamble_time=1.0)
+
+
+def replay_access_series(t_tti, period_slots, window, steps, late_slots=12):
+    """Feed a classified periodic device a series of successful accesses.
+
+    ``steps`` holds (periods skipped, jitter in slots, late) triples; a late
+    access comes ``late_slots`` after its schedule, as a retry would.
+    Preamble times are whole slots, ``(s + 1) * t_tti``.  After every access
+    the running-sum fit must equal a full refit of the same window, bit for
+    bit.  Returns how many slides, skipped periods and rejections happened.
+    """
+    state = EstimatorState()
+    start = 40
+    for i in range(window):
+        # stored as now - t_up + t_tti: the access lattice (s + 1) * t_tti
+        now = (start + i * period_slots) * t_tti + 3.0
+        observe_uplink_packet(state, now=now, t_up=3.0, t_tti=t_tti)
+    classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3, t_tti=t_tti)
+    assert state.estimate.kind == "periodic"
+    seen = {"slides": 0, "skips": 0, "rejections": 0}
+    n = window - 1  # the anchor: the last initial sample
+    for skipped, jitter, late in steps:
+        n += 1 + skipped
+        s = start + n * period_slots + jitter + (late_slots if late else 0)
+        t = (s + 1) * t_tti
+        full = len(state.times) == window
+        observe_twostep_attempt(state, t)
+        if not state.times or state.times[-1] != t:
+            seen["rejections"] += 1
+        elif full:
+            seen["slides"] += 1
+        if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
+            seen["skips"] += 1
+        assert state.sum_x == sum(state.ticks)
+        assert state.sum_xx == sum(x * x for x in state.ticks)
+        assert state.sum_y == math.fsum(state.times)
+        assert state.sum_xy == math.fsum(x * y for x, y in zip(state.ticks, state.times))
+        if len(state.times) >= 2:
+            intercept, slope = linear_regression(state.times, state.ticks)
+            assert (state.intercept_ms, state.period_ms) == (intercept, slope)
+            assert state.margin_ms == margin_value(state.times, intercept, slope, state.ticks)
+    return seen
+
+
+class TestRunningSumRefit:
+    def test_slides_skips_and_rejections_match_full_refit(self):
+        steps = [(0, 0, False)] * 3 + [(0, 1, False), (2, 0, False), (0, 0, True),
+                                       (0, -1, False), (1, 0, False)] * 4
+        seen = replay_access_series(0.5, 100, 3, steps)
+        assert all(count > 0 for count in seen.values()), seen
+
+    @given(
+        t_tti=st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+        period_slots=st.integers(min_value=40, max_value=400),
+        window=st.integers(min_value=2, max_value=12),
+        steps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=3),
+                      st.one_of(st.just(0), st.integers(min_value=-1, max_value=2)),
+                      st.booleans()),
+            min_size=1, max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_refit(self, t_tti, period_slots, window, steps):
+        replay_access_series(t_tti, period_slots, window, steps)

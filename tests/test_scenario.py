@@ -71,10 +71,34 @@ class TestParseErrors:
             with pytest.raises(ScenarioError, match=key.split("_")[0]):
                 parse_scenario(text + "\n")
 
+    def test_off_grid_slot_length_named_by_key(self):
+        # 0.3 ms is not a whole number of 0.125 ms steps
+        with pytest.raises(ScenarioError,
+                           match=r"t_tti_ms must be a positive multiple of 0\.125"):
+            parse_scenario("t_tti_ms = 0.3\n")
+
+    def test_finest_slot_length_accepted(self):
+        sc = parse_scenario("t_tti_ms = 0.125\nduration_ms = 10\n")
+        assert sc.t_tti_ms == 0.125
+        assert sc.duration_slots == 80
+
+    @pytest.mark.parametrize("key", ["duration_ms", "t_tti_ms", "t_up_ms",
+                                     "traffic.fourstep.rate_per_s"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ScenarioError, match="must be finite"):
+            parse_scenario(f"{key} = {value}\n")
+
     def test_even_r_threshold_rejected_for_t_p_2(self):
         with pytest.raises(ScenarioError, match="odd"):
             Scenario(t_p=2, r_threshold=10)
         Scenario(t_p=2, r_threshold=11)  # odd is fine
+
+    def test_fourstep_devices_need_a_preamble(self):
+        # n_cb = 64 - 10 - 54 = 0: nothing left for the four-step procedure
+        with pytest.raises(ScenarioError, match="n_cb must be >= 1"):
+            Scenario(n_cr=54, fourstep_n_ue=5)
+        Scenario(n_cr=54)  # an empty pool is fine without four-step devices
 
     def test_event_devices_need_two_preambles(self):
         with pytest.raises(ScenarioError, match="n_cr"):

@@ -4,10 +4,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ralab import core, protocol
 from ralab.metrics import MetricsReport
-from ralab.scenario import Scenario, read_scenario
+from ralab.scenario import Scenario, emit_scenario, parse_scenario, read_scenario
 from ralab.simulator import _Engine, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -216,3 +218,66 @@ class TestSeedPooling:
             return d
 
         assert pooled([0, 1, 2]) == pooled([2, 1, 0])
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Small valid scenarios, biased toward the edge shapes of the model."""
+    t_p = draw(st.sampled_from([1, 2, 3]))
+    r_threshold = draw(st.integers(min_value=2, max_value=6))
+    if t_p == 2 and r_threshold % 2 == 0:
+        r_threshold += 1
+    mode = draw(st.sampled_from(["on", "off", "oracle"]))
+    n_periodic = draw(st.integers(min_value=0, max_value=12))
+    n_event = draw(st.integers(min_value=0, max_value=12))
+    # n_cr = 0 leaves no two-step preambles, so no two-step devices
+    if draw(st.booleans()):
+        n_cr, n_periodic, n_event = 0, 0, 0
+    elif n_event > 0 or mode == "off":
+        n_cr = draw(st.integers(min_value=2, max_value=6))
+    else:
+        n_cr = draw(st.integers(min_value=1, max_value=6))
+    fourstep_n_ue = draw(st.integers(min_value=0, max_value=20))
+    n_cf = draw(st.integers(min_value=0, max_value=10))
+    return Scenario(
+        duration_ms=draw(st.sampled_from([250.0, 1_000.0, 2_000.0])),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        t_tti_ms=draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])),
+        t_p=t_p,
+        n_total=draw(st.integers(min_value=n_cf + n_cr + min(fourstep_n_ue, 1),
+                                 max_value=64)),
+        n_cf=n_cf,
+        n_cr=n_cr,
+        estimator_mode=mode,
+        detection=draw(st.sampled_from(["model", "perfect"])),
+        ids_per_cell=draw(st.integers(min_value=1, max_value=3)),
+        max_attempts=draw(st.integers(min_value=1, max_value=4)),
+        rar_window_ms=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        backoff_avg_ms=draw(st.sampled_from([0.0, 2.5, 5.0])),
+        conres_timer_ms=draw(st.sampled_from([0.0, 8.0, 24.0])),
+        t_inactive_ms=draw(st.sampled_from([0.0, 5.0, 20.0])),
+        t_initial_ms=draw(st.sampled_from([50.0, 400.0, 5_000.0])),
+        t_up_ms=draw(st.sampled_from([0.0, 1.5, 3.0])),
+        r_threshold=r_threshold,
+        var_threshold=draw(st.sampled_from([0.1, 10.0])),
+        twostep_n_periodic=n_periodic,
+        twostep_n_event=n_event,
+        twostep_period_ms=draw(st.sampled_from([5.0, 20.0, 47.0, 50.0])),
+        twostep_event_rate_per_s=draw(st.floats(min_value=1.0, max_value=200.0)),
+        fourstep_n_ue=fourstep_n_ue,
+        fourstep_rate_per_s=draw(st.floats(min_value=1.0, max_value=200.0)),
+    )
+
+
+class TestAnyValidScenario:
+    @given(sc=valid_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips_runs_conserves_and_repeats(self, sc):
+        again = parse_scenario(emit_scenario(sc))
+        assert again == sc
+        first = run_scenario(again)
+        for name, cm in first.classes.items():
+            assert cm.generated == cm.delivered + cm.failed + cm.pending, name
+        second = run_scenario(again)
+        assert json.dumps(first.to_dict(), sort_keys=True) == \
+            json.dumps(second.to_dict(), sort_keys=True)
