@@ -32,6 +32,18 @@ class InfeasibleError(RuntimeError):
     """No preamble split satisfies the failure-probability constraint."""
 
 
+class ModelInputError(ValueError):
+    """A model input out of the models' range; the message names the field,
+    which is also the scenario key for every duration."""
+
+
+def _check_positive(params, names) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value) or value <= 0:
+            raise ModelInputError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FourStepParams:
     """Per-device model inputs for the four-step procedure."""
@@ -51,19 +63,16 @@ class FourStepParams:
 
     def __post_init__(self) -> None:
         if self.n_ue < 1:
-            raise ValueError("n_ue must be >= 1")
+            raise ModelInputError("n_ue must be >= 1")
         if self.n_cb < 1:
-            raise ValueError("n_cb must be >= 1")
+            raise ModelInputError("n_cb must be >= 1")
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        for name in ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
-                     "rar_window_ms", "backoff_avg_ms", "conres_timer_ms"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            raise ModelInputError("max_attempts must be >= 1")
+        _check_positive(self, ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
+                               "rar_window_ms", "backoff_avg_ms", "conres_timer_ms"))
         for name in ("p2", "p4"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ModelInputError(f"{name} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -84,22 +93,20 @@ class TwoStepParams:
 
     def __post_init__(self) -> None:
         if self.n_ue < 0 or self.n_event < 0:
-            raise ValueError("device counts must be >= 0")
+            raise ModelInputError("device counts must be >= 0")
         if self.n_event > self.n_ue:
-            raise ValueError("n_event must not exceed n_ue")
-        if not math.isfinite(self.rate_per_ms) or self.rate_per_ms <= 0:
-            raise ValueError(
-                f"rate_per_ms must be finite and > 0, got {self.rate_per_ms!r}"
-            )
+            raise ModelInputError("n_event must not exceed n_ue")
+        _check_positive(self, ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
+                               "rar_window_ms"))
         if self.t_p not in (1, 2, 3):
-            raise ValueError("t_p must be in {1, 2, 3}")
+            raise ModelInputError("t_p must be in {1, 2, 3}")
         if self.n_event > 0 and self.n_cr < 2:
-            raise ValueError("n_cr must be >= 2 when event devices exist "
-                             "(one preamble is reserved for periodic devices)")
+            raise ModelInputError("n_cr must be >= 2 when event devices exist "
+                                  "(one preamble is reserved for periodic devices)")
         if self.n_cr < 0:
-            raise ValueError("n_cr must be >= 0")
+            raise ModelInputError("n_cr must be >= 0")
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ModelInputError("max_attempts must be >= 1")
 
     @property
     def slot_avg(self) -> float:

@@ -222,21 +222,21 @@ def _mode_optimize(sc: Scenario, grid: tuple[int, int] | None, out: Path | None)
 
 def _mode_validate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
     """Cross-check simulated per-device load against the stationary model."""
+    fp = fourstep_params(sc)
+    tp = twostep_params(sc)
+    if fp is None and tp is None:
+        raise CliError("validate needs a non-empty device population")
     pooled, per_seed = _run_simulation(sc, seeds)
     load = metrics.load_accounting(pooled)
     checks = []
-    fp = fourstep_params(sc)
     if fp is not None:
         predicted = analysis.load_fourstep(analysis.solve_fourstep(fp))
         checks.append(("fourstep", load["fourstep"]["signals_per_ue_per_ms"], predicted))
-    tp = twostep_params(sc)
     if tp is not None:
         predicted = analysis.load_twostep(analysis.solve_twostep(tp), tp)
         checks.append(
             ("twostep_event", load["twostep_event"]["signals_per_ue_per_ms"], predicted)
         )
-    if not checks:
-        raise CliError("validate needs a non-empty device population")
     all_ok = True
     results = []
     for name, simulated, predicted in checks:
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         if args.mode == "optimize":
             return _mode_optimize(sc, grid, args.out)
         return _mode_validate(sc, seeds, args.out)
-    except (CliError, ScenarioError, analysis.SolverError,
+    except (CliError, ScenarioError, analysis.ModelInputError, analysis.SolverError,
             analysis.InfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,12 @@
 """Per-device uplink traffic estimation at the base station.
 
 During an initial observation phase the device stays connected and the base
-station timestamps its uplink packets. Once ``r_threshold`` packets arrived
-(or an observation timer expires first) the device is classified as
-``periodic`` or ``event`` from the variance of its inter-reception times.
-Periodic devices additionally get a period/margin estimate via least
-squares and a preferred transmission-slot class. After classification the
+station timestamps its uplink packets; that phase only records samples.
+Once ``r_threshold`` packets arrived (or an observation timer expires
+first) the device is classified as ``periodic`` or ``event`` from the
+variance of its inter-reception times. Periodic devices additionally get a
+period/margin estimate via least squares, fitted once at classification,
+and a preferred transmission-slot class. After classification the
 estimate is refreshed from the preamble times of successful accesses: the
 regression sums of that window are kept as running sums, so a refresh costs
 O(1) for the fit plus one O(window) pass for the margin.
@@ -165,14 +166,12 @@ def observe_uplink_packet(
 
     The stored value is the packet time shifted back by the uplink duration
     and forward by one slot, approximating when a preamble for this packet
-    would have been received.
+    would have been received.  Nothing is fitted here: the initial-phase
+    fit is made once, by :func:`classify_traffic_type`.
     """
     if state.phase != "initial":
         raise ValueError("observe_uplink_packet applies to the initial phase only")
     state.times.append(now - t_up + t_tti)
-    if state.r >= 2:
-        state.intercept_ms, state.period_ms = linear_regression(state.times)
-        state.margin_ms = margin_value(state.times, state.intercept_ms, state.period_ms)
     return state
 
 
@@ -187,7 +186,10 @@ def classify_traffic_type(
     """Classify the device and end its initial phase.
 
     Call either when ``r == r_threshold`` or when the observation timer
-    expires earlier; an expired timer always classifies as ``event``.
+    expires earlier; an expired timer always classifies as ``event``.  A
+    periodic classification fits the observed samples and stores the fit in
+    the state's ``intercept_ms``, ``period_ms`` and ``margin_ms`` as well as
+    in the returned estimate.
     """
     if state.phase != "initial":
         raise ValueError("device already classified")
@@ -201,11 +203,13 @@ def classify_traffic_type(
         sigma2 = successive_difference_variance(state.times)
         if sigma2 <= var_threshold:
             intercept, slope = linear_regression(state.times)
+            state.intercept_ms, state.period_ms = intercept, slope
+            state.margin_ms = margin_value(state.times, intercept, slope)
             est = TrafficEstimate(
                 kind="periodic",
                 period_ms=slope,
                 intercept_ms=intercept,
-                margin_ms=margin_value(state.times, intercept, slope),
+                margin_ms=state.margin_ms,
                 diff_variance=sigma2,
                 preferred_offset=preferred_offset(state.times, t_p, t_tti),
                 anchor_ms=intercept + (len(state.times) - 1) * slope,

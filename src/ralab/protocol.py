@@ -9,6 +9,7 @@ grant only when :func:`grant_threshold` allows it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,12 @@ class BsRegistry:
         self.records: dict[int, UeRecord] = {}
         self._cells: dict[tuple[int, int], list[int]] = {}
         self.grew_capacity = False
+        # (load, pid, t_ind) of every event cell, a heap whose stored loads
+        # may lag the cells' current ones (see allocate_context_id); sorted,
+        # so already a heap
+        self._event_heap = [
+            (0, pid, t_ind) for pid in self.event_pids() for t_ind in range(1, t_p + 1)
+        ]
 
     @property
     def reserved_pid(self) -> int:
@@ -164,6 +171,15 @@ def allocate_context_id(
     ``n_cr - 1`` preambles (ties to the smallest pid, then offset). Within a
     cell the smallest unused id is assigned; a full cell grows past
     ``ids_per_cell`` and sets ``registry.grew_capacity``.
+
+    The event cell comes from a heap of ``(load, pid, t_ind)`` entries, one
+    per cell, refreshed lazily: a top entry whose stored load differs from
+    the cell's current ``cell_load`` is replaced by the current one and the
+    heap is read again.  Cell loads never shrink, so every stored entry is
+    at most its cell's current key, and a top entry that is current is the
+    smallest current key of all cells: the same cell as a scan of every
+    cell with the same tie-break, even after direct ``BsRegistry.add``
+    calls.
     """
     n_total, n_cr, t_p = registry.n_total, registry.n_cr, registry.t_p
     if traffic_kind == "periodic":
@@ -175,10 +191,13 @@ def allocate_context_id(
     elif traffic_kind == "event":
         if n_cr < 2:
             raise AllocationError("need n_cr >= 2 to serve event devices")
-        pid, t_ind = min(
-            ((p, k) for p in registry.event_pids() for k in range(1, t_p + 1)),
-            key=lambda cell: (registry.cell_load(*cell), cell[0], cell[1]),
-        )
+        heap = registry._event_heap
+        while True:
+            load, pid, t_ind = heap[0]
+            current = registry.cell_load(pid, t_ind)
+            if current == load:
+                break
+            heapq.heapreplace(heap, (current, pid, t_ind))
     else:
         raise ValueError(f"traffic_kind must be 'periodic' or 'event', got {traffic_kind!r}")
 

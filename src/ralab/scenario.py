@@ -118,13 +118,20 @@ class Scenario:
                 f"n_cb must be >= 1 to serve four-step devices, got n_cb={self.n_cb}"
             )
         n_twostep = self.twostep_n_periodic + self.twostep_n_event
-        if n_twostep > 0 and self.estimator_mode != "off":
+        if n_twostep > 0 and self.estimator_mode == "oracle":
             if self.twostep_n_event > 0 and self.n_cr < 2:
                 raise ScenarioError("n_cr must be >= 2 to serve event devices")
             if self.n_cr < 1:
                 raise ScenarioError("n_cr must be >= 1 to serve two-step devices")
         elif n_twostep > 0 and self.n_cr < 2:
-            raise ScenarioError("n_cr must be >= 2 to serve two-step devices")
+            # "off" serves every two-step device as event traffic, and "on"
+            # may classify any of them as event traffic at run time (an
+            # observation timer that expires first does), so both need an
+            # event preamble next to the reserved one
+            raise ScenarioError(
+                f"n_cr must be >= 2 to serve two-step devices with "
+                f"estimator_mode={self.estimator_mode}, got n_cr={self.n_cr}"
+            )
 
     @property
     def n_cb(self) -> int:

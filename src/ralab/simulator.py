@@ -25,7 +25,7 @@ import math
 from random import Random
 
 from . import core, estimator, protocol
-from .metrics import MetricsReport
+from .metrics import ClassMetrics, MetricsReport
 from .scenario import Scenario
 
 CLASS_TWOSTEP_PERIODIC = "twostep_periodic"
@@ -37,18 +37,19 @@ class _Ue:
     """Mutable per-device state; one instance per simulated device."""
 
     __slots__ = (
-        "uid", "true_kind", "procedure", "cls",
+        "uid", "true_kind", "procedure", "twostep", "cm",
         "period_ms", "rate_per_ms", "next_arrival_ms",
         "est", "record", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
         "threshold",
     )
 
-    def __init__(self, uid: int, true_kind: str, procedure: str, cls: str) -> None:
+    def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
         self.uid = uid
         self.true_kind = true_kind
         self.procedure = procedure
-        self.cls = cls
+        self.twostep = procedure == "twostep"
+        self.cm = cm  # the report's counters for this device's class
         self.period_ms = 0.0
         self.rate_per_ms = 0.0
         self.next_arrival_ms = 0.0
@@ -68,9 +69,17 @@ class _Engine:
     def __init__(self, sc: Scenario, seed: int) -> None:
         self.sc = sc
         self.rng = Random(seed)
+        self._random = self.rng.random
+        self._getrandbits = self.rng.getrandbits
         self.t_tti = sc.t_tti_ms
         self.half = sc.t_tti_ms / 2.0
         self.n_slots = sc.duration_slots
+        self.t_p = sc.t_p
+        self.t_up = sc.t_up_ms
+        self.t_inactive = sc.t_inactive_ms
+        self.max_attempts = sc.max_attempts
+        self.mode = sc.estimator_mode
+        self.perfect = sc.detection == "perfect"
         self.report = MetricsReport(duration_ms=sc.duration_ms, seeds=(seed,))
         self.report.populations = {
             CLASS_TWOSTEP_PERIODIC: sc.twostep_n_periodic,
@@ -85,6 +94,15 @@ class _Engine:
         # timing offsets, all in whole slots unless suffixed _ms
         self.rar_expiry_slots = 1 + math.ceil(sc.rar_window_ms / self.t_tti)
         self.backoff_slots_max = round(2.0 * sc.backoff_avg_ms / self.t_tti)
+        # Uniform integer draws below n: the bit width ``randrange`` and
+        # ``randint`` use for n, so inlining their rejection loop
+        # (``r = getrandbits(k)`` until ``r < n``) keeps every draw.
+        self.n_cb = sc.n_cb
+        self.cb_bits = sc.n_cb.bit_length()
+        self.backoff_n = self.backoff_slots_max + 1
+        self.backoff_bits = self.backoff_n.bit_length()
+        # detection probability of one preamble, indexed by attempt number
+        self.detect_prob = [-math.expm1(-m) for m in range(sc.max_attempts + 1)]
         msg_exchange_ms = self.half + core.CP_TWOSTEP_MS  # preamble..msg3 sent
         self.conres_known_slots = math.ceil(
             (msg_exchange_ms + sc.conres_timer_ms) / self.t_tti
@@ -122,7 +140,7 @@ class _Engine:
         sc = self.sc
         uid = 0
         for _ in range(sc.twostep_n_periodic):
-            ue = _Ue(uid, "periodic", "twostep", CLASS_TWOSTEP_PERIODIC)
+            ue = _Ue(uid, "periodic", "twostep", self.cm[CLASS_TWOSTEP_PERIODIC])
             ue.period_ms = sc.twostep_period_ms
             ue.next_arrival_ms = self.rng.uniform(0.0, sc.twostep_period_ms)
             self._setup_twostep(ue)
@@ -131,7 +149,7 @@ class _Engine:
             uid += 1
         rate_ms = sc.twostep_event_rate_per_s / 1000.0
         for _ in range(sc.twostep_n_event):
-            ue = _Ue(uid, "event", "twostep", CLASS_TWOSTEP_EVENT)
+            ue = _Ue(uid, "event", "twostep", self.cm[CLASS_TWOSTEP_EVENT])
             ue.rate_per_ms = rate_ms
             ue.next_arrival_ms = self.rng.expovariate(rate_ms)
             self._setup_twostep(ue)
@@ -140,7 +158,7 @@ class _Engine:
             uid += 1
         four_rate_ms = sc.fourstep_rate_per_s / 1000.0
         for _ in range(sc.fourstep_n_ue):
-            ue = _Ue(uid, "event", "fourstep", CLASS_FOURSTEP)
+            ue = _Ue(uid, "event", "fourstep", self.cm[CLASS_FOURSTEP])
             ue.rate_per_ms = four_rate_ms
             ue.next_arrival_ms = self.rng.expovariate(four_rate_ms)
             self._schedule_arrival(ue)
@@ -187,7 +205,7 @@ class _Engine:
         ue.record = record
         ue.pid = record.pid
         ue.t_ind = record.t_ind
-        if est.kind == "periodic" and self.sc.estimator_mode == "on":
+        if est.kind == "periodic" and self.mode == "on":
             ue.threshold = protocol.grant_threshold(record)
             heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
         elif est.kind != "periodic":
@@ -209,34 +227,34 @@ class _Engine:
         # beyond the horizon the packet stays pending
 
     def _first_tx_slot(self, ue: _Ue, earliest: int) -> int:
-        if ue.procedure == "twostep":
-            return core.next_tx_slot(earliest, self.sc.t_p, ue.t_ind)
+        if ue.twostep:
+            return core.next_tx_slot(earliest, self.t_p, ue.t_ind)
         return earliest
 
     # ------------------------------------------------------------------
     # deliveries
 
     def _deliver_ra(self, ue: _Ue, delivery_ms: float) -> None:
-        cm = self.cm[ue.cls]
+        cm = ue.cm
         cm.add_ra_sample(delivery_ms - ue.trigger_arrival)
-        for arrival in ue.queue:
-            connected = max(delivery_ms, arrival + self.sc.t_up_ms + self.half)
-            cm.add_connected_sample(connected - arrival)
-        ue.queue.clear()
+        if ue.queue:
+            for arrival in ue.queue:
+                connected = max(delivery_ms, arrival + self.t_up + self.half)
+                cm.add_connected_sample(connected - arrival)
+            ue.queue.clear()
         ue.in_ra = False
         ue.attempt = 0
-        ue.connected_until = delivery_ms + self.sc.t_inactive_ms
+        ue.connected_until = delivery_ms + self.t_inactive
 
     def _deliver_connected(self, ue: _Ue, arrival_ms: float) -> float:
-        delivery = arrival_ms + self.sc.t_up_ms + self.half
-        self.cm[ue.cls].add_connected_sample(delivery - arrival_ms)
-        ue.connected_until = delivery + self.sc.t_inactive_ms
+        delivery = arrival_ms + self.t_up + self.half
+        ue.cm.add_connected_sample(delivery - arrival_ms)
+        ue.connected_until = delivery + self.t_inactive
         return delivery
 
     def _fail_packet(self, ue: _Ue, known_slot: int) -> None:
         """Attempt cap hit: drop the packet being served, serve the queue."""
-        cm = self.cm[ue.cls]
-        cm.failed += 1
+        ue.cm.failed += 1
         if ue.queue:
             ue.trigger_arrival = ue.queue.pop(0)
             ue.attempt = 1
@@ -262,24 +280,19 @@ class _Engine:
                     self._allocate(ue, est)
 
     def _handle_arrival(self, ue: _Ue, slot: int) -> None:
-        sc = self.sc
         arrival = slot * self.t_tti + self.half
-        self.cm[ue.cls].generated += 1
-        if ue.est is not None and ue.est.phase == "initial":
-            delivery = self._deliver_connected(ue, arrival)
-            estimator.observe_uplink_packet(ue.est, delivery, sc.t_up_ms, self.t_tti)
-            if ue.est.r >= sc.r_threshold:
-                est = estimator.classify_traffic_type(
-                    ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, self.t_tti,
-                )
-                self.report.classification[f"{ue.true_kind}_as_{est.kind}"] += 1
-                alloc_slot = math.ceil((delivery + sc.t_inactive_ms) / self.t_tti)
-                self.admin.setdefault(max(alloc_slot, slot + 1), []).append(("alloc", ue))
-        elif ue.procedure == "twostep" and ue.record is None:
-            # classified, context not granted yet: still on the initial connection
-            self._deliver_connected(ue, arrival)
-        elif ue.in_ra:
+        ue.cm.generated += 1
+        # A device without a context is never in random access, so testing
+        # in_ra first changes no outcome; a four-step device only ever
+        # takes the in_ra, connected and new-access branches.
+        if ue.in_ra:
             ue.queue.append(arrival)
+        elif ue.twostep and ue.record is None:
+            # observation phase, or classified and waiting for its context:
+            # the device is still on its initial connection
+            delivery = self._deliver_connected(ue, arrival)
+            if ue.est.phase == "initial":
+                self._observe(ue, delivery, slot)
         elif arrival <= ue.connected_until:
             self._deliver_connected(ue, arrival)
         else:
@@ -288,39 +301,64 @@ class _Engine:
             ue.trigger_arrival = arrival
             self._schedule_tx(ue, self._first_tx_slot(ue, slot + 1))
         # next packet of this device's process
-        if ue.true_kind == "periodic" and ue.procedure == "twostep":
+        if ue.true_kind == "periodic":
             ue.next_arrival_ms += ue.period_ms
         else:
-            ue.next_arrival_ms += self.rng.expovariate(ue.rate_per_ms)
+            # Random.expovariate's own formula, without its call overhead
+            ue.next_arrival_ms += -math.log(1.0 - self._random()) / ue.rate_per_ms
         self._schedule_arrival(ue)
+
+    def _observe(self, ue: _Ue, delivery: float, slot: int) -> None:
+        """Record an initial-phase packet; classify once enough arrived."""
+        sc = self.sc
+        estimator.observe_uplink_packet(ue.est, delivery, sc.t_up_ms, self.t_tti)
+        if ue.est.r >= sc.r_threshold:
+            est = estimator.classify_traffic_type(
+                ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, self.t_tti,
+            )
+            self.report.classification[f"{ue.true_kind}_as_{est.kind}"] += 1
+            alloc_slot = math.ceil((delivery + sc.t_inactive_ms) / self.t_tti)
+            self.admin.setdefault(max(alloc_slot, slot + 1), []).append(("alloc", ue))
 
     def _retry_twostep(self, ue: _Ue, s: int) -> None:
         known = s + self.rar_expiry_slots
-        if ue.attempt >= self.sc.max_attempts:
+        if ue.attempt >= self.max_attempts:
             self._fail_packet(ue, known)
         else:
             ue.attempt += 1
-            self._schedule_tx(ue, core.next_tx_slot(known, self.sc.t_p, ue.t_ind))
+            self._schedule_tx(ue, core.next_tx_slot(known, self.t_p, ue.t_ind))
 
     def _retry_fourstep(self, ue: _Ue, s: int, msg3_collision: bool) -> None:
         known = s + (self.conres_known_slots if msg3_collision else self.rar_expiry_slots)
-        if ue.attempt >= self.sc.max_attempts:
+        if ue.attempt >= self.max_attempts:
             self._fail_packet(ue, known)
         else:
             ue.attempt += 1
-            self._schedule_tx(ue, known + self.rng.randint(0, self.backoff_slots_max))
+            # randint(0, backoff_slots_max)
+            n, k = self.backoff_n, self.backoff_bits
+            backoff = self._getrandbits(k)
+            while backoff >= n:
+                backoff = self._getrandbits(k)
+            self._schedule_tx(ue, known + backoff)
 
     def _handle_tx(self, txs: list[_Ue], s: int) -> None:
         two_groups: dict[int, list[_Ue]] = {}
+        # four-step preamble index within the pool -> (device, detected)
         four_groups: dict[int, list[tuple[_Ue, bool]]] = {}
-        perfect = self.sc.detection == "perfect"
+        perfect = self.perfect
+        getrandbits, random = self._getrandbits, self._random
+        n_cb, k = self.n_cb, self.cb_bits
+        detect_prob = self.detect_prob
         for ue in txs:
-            if ue.procedure == "twostep":
+            if ue.twostep:
                 two_groups.setdefault(ue.pid, []).append(ue)
             else:
-                pid = self.sc.n_cf + self.rng.randrange(self.sc.n_cb)
-                detected = perfect or self.rng.random() < -math.expm1(-ue.attempt)
-                four_groups.setdefault(pid, []).append((ue, detected))
+                # randrange(n_cb)
+                preamble = getrandbits(k)
+                while preamble >= n_cb:
+                    preamble = getrandbits(k)
+                detected = perfect or random() < detect_prob[ue.attempt]
+                four_groups.setdefault(preamble, []).append((ue, detected))
         if two_groups:
             self._resolve_twostep(two_groups, s, perfect)
         for group in four_groups.values():
@@ -338,30 +376,30 @@ class _Engine:
                 detected = self.rng.random() < -math.expm1(-load)
             if not detected:
                 for ue in ues:
-                    self.cm[ue.cls].unnec_failed += 1
+                    ue.cm.unnec_failed += 1
                     self._retry_twostep(ue, s)
                 continue
             transmitting = {ue.uid for ue in ues}
             granted: set[int] = set()
-            if pid == self.reserved_pid and self.sc.estimator_mode == "on":
+            if pid == self.reserved_pid and self.mode == "on":
                 self._grant_due_periodic(k, t_rar, transmitting, granted)
-            elif pid == self.reserved_pid and self.sc.estimator_mode == "oracle":
+            elif pid == self.reserved_pid and self.mode == "oracle":
                 granted = transmitting  # exact schedule knowledge, no extras
             else:
                 for member in self.cells.get((pid, k), ()):
                     granted.add(member.uid)
                     if member.uid not in transmitting:
-                        cm = self.cm[member.cls]
+                        cm = member.cm
                         cm.unnec_rar += 1
                         cm.unnec_grant += 1
             for ue in ues:
                 if ue.uid in granted:
-                    self.cm[ue.cls].necessary += 2
+                    ue.cm.necessary += 2
                     self._refresh_periodic(ue, t_rar)
                     self._deliver_ra(ue, delivery)
                 else:
                     # response withheld by the grant rule; looks like a miss
-                    self.cm[ue.cls].unnec_failed += 1
+                    ue.cm.unnec_failed += 1
                     self._retry_twostep(ue, s)
 
     def _grant_due_periodic(
@@ -376,7 +414,7 @@ class _Engine:
                 continue  # superseded by a newer entry
             granted.add(uid)
             if uid not in transmitting:
-                cm = self.cm[ue.cls]
+                cm = ue.cm
                 cm.unnec_rar += 1
                 cm.unnec_grant += 1
                 repush.append((threshold, uid, ue))
@@ -386,7 +424,7 @@ class _Engine:
 
     def _refresh_periodic(self, ue: _Ue, t_rar: float) -> None:
         est = ue.record.estimate
-        if est is None or est.kind != "periodic" or self.sc.estimator_mode != "on":
+        if est is None or est.kind != "periodic" or self.mode != "on":
             return
         estimator.observe_twostep_attempt(ue.est, t_rar)
         # Anchor the next-grant window on the fitted reception time rather
@@ -398,11 +436,11 @@ class _Engine:
         heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
 
     def _resolve_fourstep(self, group: list[tuple[_Ue, bool]], s: int) -> None:
-        detected = [ue for ue, det in group if det]
-        collision = len(detected) >= 2
+        # a lone preamble cannot collide, whatever its detection
+        collision = len(group) >= 2 and sum(det for _, det in group) >= 2
         delivery = s * self.t_tti + self.four_delivery_ms
         for ue, det in group:
-            cm = self.cm[ue.cls]
+            cm = ue.cm
             if not det:
                 cm.unnec_failed += 1
                 self._retry_fourstep(ue, s, msg3_collision=False)
@@ -437,7 +475,7 @@ class _Engine:
     def _finish(self) -> None:
         for ue in self.ues:
             if ue.in_ra:
-                self.cm[ue.cls].pending += 1 + len(ue.queue)
+                ue.cm.pending += 1 + len(ue.queue)
         for ue in self.ues:
             if (
                 ue.true_kind == "periodic"

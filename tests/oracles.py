@@ -7,7 +7,8 @@ explicit binomial tail the package's closed form telescopes, and the root
 finder is plain bisection, to arbitrate the package's fixed point. The
 two-step detection probability is the per-attempt form the package's vector
 form factors, and the exact four-step fixed point solves the explicit chain
-in 50-digit arithmetic.
+in 50-digit arithmetic. The balanced event cell is a scan of every cell,
+which the package's allocation heap must agree with.
 """
 
 import math
@@ -34,6 +35,15 @@ def collision_probability_binomial(tau, n_ue, n_cb):
         + k * math.log(q) + (n - k) * math.log1p(-q)
     )
     return float(min(1.0, np.exp(log_terms).sum()))
+
+
+def balanced_event_cell(registry):
+    """The least-loaded event cell (pid, t_ind) of a ``BsRegistry``: ties go
+    to the smallest pid, then the smallest offset index."""
+    return min(
+        ((p, k) for p in registry.event_pids() for k in range(1, registry.t_p + 1)),
+        key=lambda cell: (registry.cell_load(*cell), cell[0], cell[1]),
+    )
 
 
 def root_by_bisection(h, lo=0.0, hi=1.0):

@@ -85,6 +85,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"must be finite, got {value}" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode, overrides, key", [
+        *[(mode, ["traffic.fourstep.n_ue=100", f"{key}=0"], key)
+          for mode in ("analyze", "validate")
+          for key in ("rar_window_ms", "backoff_avg_ms", "conres_timer_ms")],
+        ("optimize", ["traffic.fourstep.n_ue=100", "rar_window_ms=0"], "rar_window_ms"),
+        ("analyze", ["traffic.twostep.n_event=100", "t_up_ms=0", "t_inactive_ms=0"],
+         "t_up_ms"),
+    ])
+    def test_zero_duration_outside_the_models_is_exit_1(self, mode, overrides, key,
+                                                        capsys):
+        # the simulator runs these scenarios; the load models cannot take them
+        argv = ["--mode", mode, "--set", "duration_ms=1000"]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite and > 0, got 0.0")
+        assert err.count("\n") == 1
+        assert main(["--mode", "simulate", *argv[2:]]) == 0
+
     def test_validate_pass_is_exit_0(self, capsys):
         argv = [
             "--mode", "validate",

@@ -157,10 +157,15 @@ class TestObserveUplinkPacket:
         assert state.times == [7.5]
         assert state.r == 1
 
-    def test_two_packets_give_period(self):
+    def test_classification_stores_the_fit(self):
         state = EstimatorState()
-        observe_uplink_packet(state, now=10.0)
-        observe_uplink_packet(state, now=60.0)
+        for i in range(3):
+            observe_uplink_packet(state, now=10.0 + 50.0 * i)
+        assert state.period_ms == 0.0  # recording only: no fit before classification
+        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3)
+        assert est.kind == "periodic"
+        assert (state.intercept_ms, state.period_ms, state.margin_ms) == \
+            (est.intercept_ms, est.period_ms, est.margin_ms)
         assert state.period_ms == pytest.approx(50.0)
 
     def test_rejected_after_classification(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import balanced_event_cell
 from ralab import protocol
 from ralab.estimator import TrafficEstimate
 from ralab.protocol import (
@@ -209,6 +210,41 @@ class TestAllocation:
         assert not reg.grew_capacity
         allocate_context_id(reg, "periodic", preferred_offset=1)
         assert reg.grew_capacity
+
+    @given(
+        n_cr=st.integers(min_value=2, max_value=6),
+        t_p=st.sampled_from([1, 2, 3]),
+        ops=st.lists(
+            st.one_of(
+                st.just(("event",)),
+                st.tuples(st.just("periodic"), st.integers(min_value=1, max_value=3)),
+                # a direct registration: (pid index, offset index, id slot k)
+                st.tuples(st.just("add"), st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=1, max_value=3),
+                          st.integers(min_value=0, max_value=12)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_event_cell_matches_full_scan(self, n_cr, t_p, ops):
+        """The lazy heap picks the oracle's cell after any mix of event and
+        periodic allocations and registrations that bypass the allocator."""
+        reg = BsRegistry(n_total=20, n_cr=n_cr, t_p=t_p, ids_per_cell=2)
+        for op in ops:
+            if op[0] == "event":
+                want = balanced_event_cell(reg)
+                rec = reg.records[allocate_context_id(reg, "event")]
+                assert (rec.pid, rec.t_ind) == want
+            elif op[0] == "periodic":
+                allocate_context_id(reg, "periodic", preferred_offset=min(op[1], t_p))
+            else:
+                _, p, t_ind, k = op
+                pid = reg.n_total - n_cr + p % n_cr
+                t_ind = min(t_ind, t_p)
+                id_ = cell_id(pid, t_ind, k, reg.n_total, n_cr, t_p)
+                if id_ not in reg.records:
+                    reg.add(UeRecord(id=id_, pid=pid, t_ind=t_ind, traffic_kind="event"))
+        assert_registry_consistent(reg)
 
     def test_needs_two_preambles_for_event_devices(self):
         reg = BsRegistry(n_cr=1, t_p=3)

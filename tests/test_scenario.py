@@ -104,6 +104,14 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="n_cr"):
             Scenario(n_cr=1, twostep_n_event=5)
 
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_periodic_devices_need_an_event_preamble_unless_oracle(self, mode):
+        # with the estimator on, an observation timer that expires first
+        # serves a periodic device as event traffic
+        with pytest.raises(ScenarioError, match=r"n_cr must be >= 2.*n_cr=1"):
+            Scenario(n_cr=1, estimator_mode=mode, twostep_n_periodic=5)
+        Scenario(n_cr=1, estimator_mode="oracle", twostep_n_periodic=5)
+
 
 class TestRoundTrip:
     def test_default_round_trip_exact(self):
