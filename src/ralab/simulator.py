@@ -157,8 +157,9 @@ class _Engine:
             self.ues.append(ue)
             uid += 1
         four_rate_ms = sc.fourstep_rate_per_s / 1000.0
+        four_cm = self.cm[CLASS_FOURSTEP]
         for _ in range(sc.fourstep_n_ue):
-            ue = _Ue(uid, "event", "fourstep", self.cm[CLASS_FOURSTEP])
+            ue = _Ue(uid, "event", "fourstep", four_cm)
             ue.rate_per_ms = four_rate_ms
             ue.next_arrival_ms = self.rng.expovariate(four_rate_ms)
             self._schedule_arrival(ue)
