@@ -229,20 +229,22 @@ def collision_probability(tau: float, n_ue: int, n_cb: int) -> float:
 
 
 def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, float]:
-    """Stay probability and mean holding time (ms) of the connected state.
+    """Leave probability ``1 - p_conn`` and mean holding time (ms) of the
+    connected state (``p_conn`` is its stay probability).
 
-    Raises SolverError when the stay probability rounds to 1 in float64
-    (rate times ``t_up_ms + t_inactive_ms`` above about 37): the chain's
-    connected weight ``1 / (1 - p_conn)`` is then infinite.
+    The leave probability is computed as ``exp(-rate·(t_up_ms +
+    t_inactive_ms))``, which stays positive up to an exponent of about 745.
+    Beyond that it underflows to 0, the chain's connected weight
+    ``1 / (1 - p_conn)`` is infinite, and SolverError is raised.
     """
     lam = params.rate_per_ms
-    p_conn = 1.0 - math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
-    if p_conn == 1.0:
+    leave = math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
+    if leave == 0.0:
         raise SolverError(
-            f"rate_per_ms {lam:g} too high: the connected state's stay "
-            "probability rounds to 1, so the chain has no finite solution"
+            f"rate_per_ms {lam:g} too high: the connected state's leave "
+            "probability underflows to 0, so the chain has no finite solution"
         )
-    return p_conn, p_conn / lam
+    return leave, (1.0 - leave) / lam
 
 
 def _fourstep_chain(params: FourStepParams, rho_col: float):
@@ -260,7 +262,7 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     m = np.arange(1, M + 1, dtype=np.float64)
     pm1 = 1.0 - np.exp(-m)
 
-    p_conn, hold_conn = _connected_state(params)
+    leave_conn, hold_conn = _connected_state(params)
 
     # f[m] is the unnormalized probability of the preamble state of attempt
     # m + 1, with the inactive state fixed at weight 1.
@@ -272,7 +274,7 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     pi2 = pm1 * f
     pi3 = p2 * pi2
     pi4 = p3 * pi3
-    x_conn = p4 * pi4.sum() / (1.0 - p_conn)
+    x_conn = p4 * pi4.sum() / leave_conn
     total = x_conn + 1.0 + (f + pi2 + pi3 + pi4).sum()
 
     hold_idle = t_tti
@@ -427,7 +429,7 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     p2 = params.p2
 
     pm1 = _twostep_detection_vector(params)
-    p_conn, hold_conn = _connected_state(params)
+    leave_conn, hold_conn = _connected_state(params)
     stride = core.mean_class_stride_slots(params.t_p)
 
     f = np.empty(M)
@@ -435,7 +437,7 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     for i in range(1, M):
         f[i] = f[i - 1] * ((1 - pm1[i - 1]) + pm1[i - 1] * (1 - p2))
     pi2 = pm1 * f
-    x_conn = p2 * pi2.sum() / (1.0 - p_conn)
+    x_conn = p2 * pi2.sum() / leave_conn
     total = x_conn + 1.0 + (f + pi2).sum()
 
     hold_idle = t_tti * stride

@@ -138,16 +138,8 @@ def analysis_summary(sc: Scenario) -> dict:
 # ----------------------------------------------------------------------
 # modes
 
-def _run_simulation(sc: Scenario, seeds: list[int]):
-    per_seed = [simulator.run_scenario(sc, seed) for seed in seeds]
-    pooled = metrics.MetricsReport()
-    for rep in per_seed:
-        pooled.merge(rep)
-    return pooled, per_seed
-
-
 def _mode_simulate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
-    pooled, per_seed = _run_simulation(sc, seeds)
+    pooled, per_seed = simulator.run_seeds(sc, seeds)
     summary = {"mode": "simulate", "scenario": _scenario_dict(sc)}
     summary.update(simulation_summary(pooled, per_seed))
     if out is not None:
@@ -226,7 +218,7 @@ def _mode_validate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
     tp = twostep_params(sc)
     if fp is None and tp is None:
         raise CliError("validate needs a non-empty device population")
-    pooled, per_seed = _run_simulation(sc, seeds)
+    pooled, per_seed = simulator.run_seeds(sc, seeds)
     load = metrics.load_accounting(pooled)
     checks = []
     if fp is not None:
@@ -303,19 +295,30 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def prepare(argv):
+    """Parse a command line and load what it describes, running nothing.
+
+    Returns ``(args, scenario, seeds, grid)``: the scenario file (or the
+    defaults) with every ``--set`` and ``--duration-ms`` applied, the seeds
+    (the scenario's own when none are given) and the optimizer range.
+    """
+    args = _build_parser().parse_args(argv)
+    sc = read_scenario(args.scenario) if args.scenario else Scenario()
+    if args.overrides:
+        sc = apply_overrides(sc, args.overrides)
+    if args.duration_ms is not None:
+        sc = apply_overrides(sc, [f"duration_ms={args.duration_ms!r}"])
+    seeds = args.seed if args.seed else [sc.seed]
+    for seed in seeds:
+        if not 0 <= seed < 2 ** 64:
+            raise CliError(f"seed {seed} outside [0, 2^64)")
+    grid = _parse_grid(args.grid) if args.grid else None
+    return args, sc, seeds, grid
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        sc = read_scenario(args.scenario) if args.scenario else Scenario()
-        if args.overrides:
-            sc = apply_overrides(sc, args.overrides)
-        if args.duration_ms is not None:
-            sc = apply_overrides(sc, [f"duration_ms={args.duration_ms!r}"])
-        seeds = args.seed if args.seed else [sc.seed]
-        for seed in seeds:
-            if not 0 <= seed < 2 ** 64:
-                raise CliError(f"seed {seed} outside [0, 2^64)")
-        grid = _parse_grid(args.grid) if args.grid else None
+        args, sc, seeds, grid = prepare(argv)
         if args.mode == "simulate":
             return _mode_simulate(sc, seeds, args.out)
         if args.mode == "analyze":

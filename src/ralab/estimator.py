@@ -28,7 +28,6 @@ class TrafficEstimate:
     period_ms: float = 0.0        # regression slope
     intercept_ms: float = 0.0     # regression intercept
     margin_ms: float = 0.0        # mean absolute residual
-    diff_variance: float = 0.0    # classification statistic
     preferred_offset: int = 1     # transmission slot class for periodic devices
     anchor_ms: float = 0.0        # fitted reception time of the newest sample
 
@@ -45,9 +44,6 @@ class EstimatorState:
 
     phase: str = "initial"            # "initial" or "post"
     times: list[float] = field(default_factory=list)
-    intercept_ms: float = 0.0
-    period_ms: float = 0.0
-    margin_ms: float = 0.0
     estimate: TrafficEstimate | None = None
     window: int = 0                   # sample cap after classification (0 = none)
     guard_ms: float = 0.0             # schedule-quantization width of the gate
@@ -187,9 +183,8 @@ def classify_traffic_type(
 
     Call either when ``r == r_threshold`` or when the observation timer
     expires earlier; an expired timer always classifies as ``event``.  A
-    periodic classification fits the observed samples and stores the fit in
-    the state's ``intercept_ms``, ``period_ms`` and ``margin_ms`` as well as
-    in the returned estimate.
+    periodic classification fits the observed samples into the returned
+    estimate, which the state also holds.
     """
     if state.phase != "initial":
         raise ValueError("device already classified")
@@ -200,22 +195,18 @@ def classify_traffic_type(
             raise ValueError(
                 f"classification needs r == r_threshold ({r_threshold}), have {state.r}"
             )
-        sigma2 = successive_difference_variance(state.times)
-        if sigma2 <= var_threshold:
+        if successive_difference_variance(state.times) <= var_threshold:
             intercept, slope = linear_regression(state.times)
-            state.intercept_ms, state.period_ms = intercept, slope
-            state.margin_ms = margin_value(state.times, intercept, slope)
             est = TrafficEstimate(
                 kind="periodic",
                 period_ms=slope,
                 intercept_ms=intercept,
-                margin_ms=state.margin_ms,
-                diff_variance=sigma2,
+                margin_ms=margin_value(state.times, intercept, slope),
                 preferred_offset=preferred_offset(state.times, t_p, t_tti),
                 anchor_ms=intercept + (len(state.times) - 1) * slope,
             )
         else:
-            est = TrafficEstimate(kind="event", diff_variance=sigma2)
+            est = TrafficEstimate(kind="event")
     state.phase = "post"
     state.estimate = est
     state.window = max(r_threshold, 2)
@@ -306,12 +297,10 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         tick -= base
     state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
     if r >= 2:
-        state.intercept_ms, state.period_ms = regression_from_sums(r, sx, sxx, sy, sxy)
-        state.margin_ms = margin_value(times, state.intercept_ms, state.period_ms, ticks)
-        est.period_ms = state.period_ms
-        est.intercept_ms = state.intercept_ms
-        est.margin_ms = state.margin_ms
-        est.anchor_ms = state.intercept_ms + tick * state.period_ms
+        intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
+        est.intercept_ms, est.period_ms = intercept, slope
+        est.margin_ms = margin_value(times, intercept, slope, ticks)
+        est.anchor_ms = intercept + tick * slope
     else:
         # a single access sample cannot support a regression: anchor on it
         # directly and keep the classification-time period and margin

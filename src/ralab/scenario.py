@@ -142,45 +142,29 @@ class Scenario:
         return int(round(self.duration_ms / self.t_tti_ms))
 
 
-# scenario-file key -> (dataclass field, type)
+def _key(name: str) -> str:
+    """The scenario-file key of a field: ``twostep_*``/``fourstep_*`` fields
+    become ``traffic.<procedure>.<rest>``, every other key is the field name."""
+    proc, _, rest = name.partition("_")
+    return f"traffic.{proc}.{rest}" if proc in ("twostep", "fourstep") else name
+
+
+# scenario-file key -> (dataclass field, type of its default), in field order
 _KEYS: dict[str, tuple[str, type]] = {
-    "duration_ms": ("duration_ms", float),
-    "seed": ("seed", int),
-    "t_tti_ms": ("t_tti_ms", float),
-    "t_p": ("t_p", int),
-    "n_total": ("n_total", int),
-    "n_cf": ("n_cf", int),
-    "n_cr": ("n_cr", int),
-    "estimator_mode": ("estimator_mode", str),
-    "detection": ("detection", str),
-    "ids_per_cell": ("ids_per_cell", int),
-    "max_attempts": ("max_attempts", int),
-    "rar_window_ms": ("rar_window_ms", float),
-    "backoff_avg_ms": ("backoff_avg_ms", float),
-    "conres_timer_ms": ("conres_timer_ms", float),
-    "t_inactive_ms": ("t_inactive_ms", float),
-    "t_initial_ms": ("t_initial_ms", float),
-    "t_up_ms": ("t_up_ms", float),
-    "r_threshold": ("r_threshold", int),
-    "var_threshold": ("var_threshold", float),
-    "traffic.twostep.n_periodic": ("twostep_n_periodic", int),
-    "traffic.twostep.n_event": ("twostep_n_event", int),
-    "traffic.twostep.period_ms": ("twostep_period_ms", float),
-    "traffic.twostep.event_rate_per_s": ("twostep_event_rate_per_s", float),
-    "traffic.fourstep.n_ue": ("fourstep_n_ue", int),
-    "traffic.fourstep.rate_per_s": ("fourstep_rate_per_s", float),
+    _key(f.name): (f.name, type(f.default)) for f in dataclasses.fields(Scenario)
 }
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 
-def _convert(key: str, raw: str, where: str):
+def _field_value(key: str, raw: str, where: str) -> tuple[str, object]:
+    """The (field, value) that one ``key = value`` pair sets; ``where``
+    (``line N`` or ``override N``) starts every error message."""
+    if key not in _KEYS:
+        raise ScenarioError(f"{where}: unknown key {key!r}")
+    if not raw:
+        raise ScenarioError(f"{where}: key {key!r} has no value")
     field, typ = _KEYS[key]
     try:
-        if typ is int:
-            return field, int(raw, 10)
-        if typ is float:
-            return field, float(raw)
-        return field, raw
+        return field, int(raw, 10) if typ is int else typ(raw)
     except ValueError:
         raise ScenarioError(
             f"{where}: value {raw!r} for key {key!r} is not a valid {typ.__name__}"
@@ -199,17 +183,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ScenarioError(
                 f"line {lineno}: key {key!r} already set on line {seen[key]}"
             )
+        field, value = _field_value(key, raw.strip(), f"line {lineno}")
         seen[key] = lineno
-        if not raw:
-            raise ScenarioError(f"line {lineno}: key {key!r} has no value")
-        field, value = _convert(key, raw, f"line {lineno}")
         overrides[field] = value
     return Scenario(**overrides)
 
@@ -235,12 +214,6 @@ def apply_overrides(scenario: Scenario, pairs) -> Scenario:
         if "=" not in pair:
             raise ScenarioError(f"override {i}: expected key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
-            raise ScenarioError(f"override {i}: unknown key {key!r}")
-        if not raw:
-            raise ScenarioError(f"override {i}: key {key!r} has no value")
-        field, value = _convert(key, raw, f"override {i}")
+        field, value = _field_value(key.strip(), raw.strip(), f"override {i}")
         overrides[field] = value
     return dataclasses.replace(scenario, **overrides)

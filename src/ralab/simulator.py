@@ -179,7 +179,6 @@ class _Engine:
                 period_ms=ue.period_ms,
                 intercept_ms=ue.next_arrival_ms,
                 margin_ms=0.0,
-                diff_variance=0.0,
                 preferred_offset=self._oracle_offset(ue),
             )
         else:
@@ -493,3 +492,16 @@ class _Engine:
 def run_scenario(sc: Scenario, seed: int | None = None) -> MetricsReport:
     """Simulate one scenario with one seed and return its report."""
     return _Engine(sc, sc.seed if seed is None else seed).run()
+
+
+def run_seeds(sc: Scenario, seeds) -> tuple[MetricsReport, list[MetricsReport]]:
+    """Simulate one scenario once per seed, serially.
+
+    Returns the reports pooled in seed order (``MetricsReport.merge``) and
+    the per-seed reports.
+    """
+    per_seed = [run_scenario(sc, seed) for seed in seeds]
+    pooled = MetricsReport()
+    for rep in per_seed:
+        pooled.merge(rep)
+    return pooled, per_seed

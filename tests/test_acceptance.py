@@ -5,6 +5,7 @@ a ``pytest -v`` run shows both the verdict line (on failure or with -rA/-s)
 and the per-test PASSED/FAILED status.
 """
 
+import dataclasses
 import math
 import statistics
 from pathlib import Path
@@ -20,11 +21,14 @@ from oracles import (
 )
 from ralab import analysis, core
 from ralab.analysis import FourStepParams, TwoStepParams
-from ralab.metrics import ClassMetrics, satisfiable_latency
+from ralab.metrics import satisfiable_latency
 from ralab.protocol import BsRegistry, UeRecord, filter_candidates, \
     select_offset_index, select_preamble
-from ralab.scenario import Scenario
-from ralab.simulator import run_scenario
+from ralab.scenario import Scenario, read_scenario
+from ralab.simulator import run_scenario, run_seeds
+
+# the shipped experiments: criteria 4, 5, 7 and 8 read their scenario here
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -126,8 +130,8 @@ class TestCriterion3StationaryOracle:
 
 
 def crossval_fourstep(n_ue: int, n_cr: int, duration_ms: float, seed: int):
-    sc = Scenario(duration_ms=duration_ms, n_cr=n_cr, detection="model",
-                  fourstep_n_ue=n_ue, fourstep_rate_per_s=1.0)
+    sc = dataclasses.replace(read_scenario(SCENARIOS / "crossval_fourstep.scn"),
+                             duration_ms=duration_ms, n_cr=n_cr, fourstep_n_ue=n_ue)
     cm = run_scenario(sc, seed=seed).classes["fourstep"]
     simulated = cm.signals_total / (n_ue * duration_ms)
     sol = analysis.solve_fourstep(analysis.fourstep_params(sc))
@@ -233,12 +237,8 @@ class TestCriterion4CrossValidation:
 
 class TestCriterion5EstimatorAccuracy:
     def test_criterion_5_classification_and_period(self):
-        sc = Scenario(duration_ms=20_000.0, n_cr=31, n_total=91,
-                      estimator_mode="on", detection="model",
-                      twostep_n_periodic=300, twostep_n_event=300,
-                      twostep_period_ms=50.0, r_threshold=10,
-                      var_threshold=0.1)
-        report = run_scenario(sc, seed=5)
+        sc = read_scenario(SCENARIOS / "smart_factory_mix.scn")
+        report = run_scenario(sc)
         cls = report.classification
         pu_right = cls.get("periodic_as_periodic", 0)
         ed_right = cls.get("event_as_event", 0)
@@ -305,18 +305,10 @@ class TestCriterion6Optimizer:
 
 class TestCriterion7FullScale:
     def test_criterion_7_tail_latencies(self):
-        sc = Scenario(duration_ms=200_000.0, n_cr=31, n_total=64, n_cf=10,
-                      estimator_mode="on", detection="model",
-                      twostep_n_periodic=300, twostep_n_event=700,
-                      twostep_period_ms=50.0, twostep_event_rate_per_s=6.8,
-                      fourstep_n_ue=23_000, fourstep_rate_per_s=0.5)
-        pooled: dict[str, ClassMetrics] = {}
-        for seed in (1, 2, 3, 4):
-            report = run_scenario(sc, seed=seed)
-            for name, cm in report.classes.items():
-                pooled.setdefault(name, ClassMetrics()).update(cm)
-        pu = pooled["twostep_periodic"]
-        ed = pooled["twostep_event"]
+        sc = read_scenario(SCENARIOS / "full_scale.scn")
+        pooled, _ = run_seeds(sc, (1, 2, 3, 4))
+        pu = pooled.classes["twostep_periodic"]
+        ed = pooled.classes["twostep_event"]
         q_pu = satisfiable_latency(pu.ra_latency, 0.99999, failures=pu.failed)
         q_ed = satisfiable_latency(ed.ra_latency, 0.99999, failures=ed.failed)
         ok = (abs(q_pu.latency_ms - 14.4) <= 2.0
@@ -335,13 +327,10 @@ class TestCriterion7FullScale:
 
 class TestCriterion8EstimatorBenefit:
     def test_criterion_8_unnecessary_load_reduction(self):
-        base = dict(duration_ms=60_000.0, n_cr=54, n_total=64, n_cf=10,
-                    detection="model", twostep_n_periodic=700,
-                    twostep_n_event=300, twostep_period_ms=50.0,
-                    twostep_event_rate_per_s=6.8)
+        sc = read_scenario(SCENARIOS / "estimator_benefit.scn")
         unnecessary = {}
         for mode in ("on", "off"):
-            report = run_scenario(Scenario(estimator_mode=mode, **base), seed=9)
+            report = run_scenario(dataclasses.replace(sc, estimator_mode=mode))
             unnecessary[mode] = sum(
                 cm.unnecessary_total for cm in report.classes.values())
         reduction = 1.0 - unnecessary["on"] / unnecessary["off"]

@@ -1,13 +1,16 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from ralab import analysis
-from ralab.cli import main
+from ralab.cli import main, prepare
 from ralab.scenario import Scenario, emit_scenario
 
-FULL_SCALE = Path(__file__).resolve().parent.parent / "scenarios" / "full_scale.scn"
+ROOT = Path(__file__).resolve().parent.parent
+FULL_SCALE = ROOT / "scenarios" / "full_scale.scn"
 
 TINY_SIM = [
     "--set", "duration_ms=2000",
@@ -56,17 +59,18 @@ class TestExitCodes:
         assert "population" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
-        "traffic.fourstep.rate_per_s=5000",
-        "traffic.twostep.event_rate_per_s=5000",
+        "traffic.fourstep.rate_per_s=100000",
+        "traffic.twostep.event_rate_per_s=100000",
     ])
     def test_rate_beyond_float_range_is_exit_1(self, override, tmp_path, capsys):
-        # rate * (t_up + t_inactive) = 40: the connected state's stay
-        # probability rounds to 1, which the solvers report as SolverError
+        # rate * (t_up + t_inactive) = 800: the connected state's leave
+        # probability exp(-800) underflows to 0, which the solvers report
+        # as SolverError
         argv = ["--mode", "analyze", "--scenario", str(FULL_SCALE),
                 "--set", override, "--out", str(tmp_path)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: rate_per_ms 5 too high")
+        assert err.startswith("error: rate_per_ms 100 too high")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["simulate", "analyze"])
@@ -233,3 +237,26 @@ class TestOptimizeMode:
         path = write_scenario(tmp_path, sc)
         assert main(["--mode", "analyze", "--scenario", str(path)]) == 0
         assert "fourstep:" in capsys.readouterr().out
+
+
+def readme_commands() -> list[str]:
+    """Every ``ralab`` command in README's ``sh`` blocks, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [
+        " ".join(line.split())
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("ralab ")
+    ]
+
+
+class TestReadmeCommands:
+    def test_readme_shows_every_mode(self):
+        modes = {re.search(r"--mode (\w+)", cmd).group(1) for cmd in readme_commands()}
+        assert modes == {"simulate", "analyze", "optimize", "validate"}
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_parses_and_loads(self, command, monkeypatch):
+        # the CLI's own parser, scenario file and --set handling; no run
+        monkeypatch.chdir(ROOT)
+        prepare(shlex.split(command)[1:])

@@ -161,12 +161,11 @@ class TestObserveUplinkPacket:
         state = EstimatorState()
         for i in range(3):
             observe_uplink_packet(state, now=10.0 + 50.0 * i)
-        assert state.period_ms == 0.0  # recording only: no fit before classification
+        assert state.estimate is None  # recording only: no fit before classification
         est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3)
         assert est.kind == "periodic"
-        assert (state.intercept_ms, state.period_ms, state.margin_ms) == \
-            (est.intercept_ms, est.period_ms, est.margin_ms)
-        assert state.period_ms == pytest.approx(50.0)
+        assert state.estimate is est
+        assert est.period_ms == pytest.approx(50.0)
 
     def test_rejected_after_classification(self):
         state = EstimatorState(phase="post")
@@ -247,12 +246,12 @@ class TestObserveTwostepAttempt:
         base = 457.5  # last initial sample: the access lattice sits above it
         for i in range(1, 12):
             observe_twostep_attempt(state, preamble_time=base + 50.0 * i)
-        assert state.period_ms == pytest.approx(50.0)
+        assert state.estimate.period_ms == pytest.approx(50.0)
         assert len(state.times) == state.window
 
     def test_first_success_anchors_directly(self):
         state = self.classified()
-        period, margin = state.period_ms, state.margin_ms
+        period, margin = state.estimate.period_ms, state.estimate.margin_ms
         observe_twostep_attempt(state, preamble_time=509.0)
         assert state.estimate.anchor_ms == 509.0
         # classification fit stays in force until the series can be refit
@@ -273,8 +272,7 @@ class TestObserveTwostepAttempt:
         for i in range(1, 11):
             jitter = 1.5 if i == 5 else 0.0
             observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter)
-        assert state.margin_ms > 0.0
-        assert state.estimate.margin_ms == state.margin_ms
+        assert state.estimate.margin_ms > 0.0
 
     def test_event_devices_rejected(self):
         state = EstimatorState(phase="post")
@@ -320,8 +318,9 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12):
         assert state.sum_xy == math.fsum(x * y for x, y in zip(state.ticks, state.times))
         if len(state.times) >= 2:
             intercept, slope = linear_regression(state.times, state.ticks)
-            assert (state.intercept_ms, state.period_ms) == (intercept, slope)
-            assert state.margin_ms == margin_value(state.times, intercept, slope, state.ticks)
+            est = state.estimate
+            assert (est.intercept_ms, est.period_ms) == (intercept, slope)
+            assert est.margin_ms == margin_value(state.times, intercept, slope, state.ticks)
     return seen
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from ralab.scenario import (
     parse_scenario,
     read_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestDefaults:
@@ -179,3 +182,13 @@ class TestImmutability:
         sc = Scenario()
         with pytest.raises(dataclasses.FrozenInstanceError):
             sc.n_cr = 5
+
+
+class TestShippedScenarios:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.name)
+    def test_file_is_canonical(self, path):
+        assert emit_scenario(read_scenario(path)) == path.read_text(encoding="utf-8")
+
+    def test_defaults_file_holds_the_defaults(self):
+        text = (SCENARIOS / "defaults.scn").read_text(encoding="utf-8")
+        assert text == emit_scenario(Scenario())

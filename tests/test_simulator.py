@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ralab import core, protocol
 from ralab.metrics import MetricsReport
 from ralab.scenario import Scenario, emit_scenario, parse_scenario, read_scenario
-from ralab.simulator import _Engine, run_scenario
+from ralab.simulator import _Engine, run_scenario, run_seeds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -256,6 +256,15 @@ class TestSeedPooling:
             return d
 
         assert pooled([0, 1, 2]) == pooled([2, 1, 0])
+
+    def test_run_seeds_merges_in_seed_order(self):
+        sc = dataclasses.replace(MIXED, duration_ms=1_000.0)
+        pooled, per_seed = run_seeds(sc, [2, 1])
+        assert [rep.seeds for rep in per_seed] == [(2,), (1,)]
+        want = MetricsReport()
+        for seed in (2, 1):
+            want.merge(run_scenario(sc, seed))
+        assert pooled.to_dict() == want.to_dict()
 
 
 @st.composite
