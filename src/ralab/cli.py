@@ -309,9 +309,12 @@ def prepare(argv):
     if args.duration_ms is not None:
         sc = apply_overrides(sc, [f"duration_ms={args.duration_ms!r}"])
     seeds = args.seed if args.seed else [sc.seed]
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         if not 0 <= seed < 2 ** 64:
             raise CliError(f"seed {seed} outside [0, 2^64)")
+        if seed in seeds[:i]:
+            # pooling one run twice would double every count
+            raise CliError(f"seed {seed} given more than once")
     grid = _parse_grid(args.grid) if args.grid else None
     return args, sc, seeds, grid
 

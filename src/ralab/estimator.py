@@ -8,8 +8,9 @@ variance of its inter-reception times. Periodic devices additionally get a
 period/margin estimate via least squares, fitted once at classification,
 and a preferred transmission-slot class. After classification the
 estimate is refreshed from the preamble times of successful accesses: the
-regression sums of that window are kept as running sums, so a refresh costs
-O(1) for the fit plus one O(window) pass for the margin.
+regression sums of that window are kept as running sums, so the fit costs
+O(1).  The margin costs nothing more while the accesses stay on an exact
+lattice, where it is provably zero, and one O(window) pass otherwise.
 """
 
 from __future__ import annotations
@@ -233,12 +234,18 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     most recent ``state.window`` values.  The regression sums over the
     window are running sums: each sample is added once and subtracted once
     when it leaves, and when the window slides the sums are rebased onto
-    its new first tick algebraically, so the fit costs O(1); only the
-    margin (a mean absolute residual) takes one O(window) pass.  Tick sums
+    its new first tick algebraically, so the fit costs O(1).  Tick sums
     are integers and exact.  Preamble times are whole slots, ``(s+1)·t_tti``
     with ``t_tti`` a multiple of 0.125 ms (which ``Scenario`` enforces), so
     every partial float sum is an exact binary fraction as well and the fit
     equals ``linear_regression`` over the same window bit for bit.
+
+    The margin (a mean absolute residual) costs one O(window)
+    ``margin_value`` pass, except on an exact lattice: when the old margin
+    is zero, the refit is the old line on the rebased ticks, the new sample
+    lies on it and intercept and slope are whole multiples of 0.125 ms,
+    every residual is exactly zero, the pass is skipped and the refit's
+    arithmetic is O(1) (a slide still shifts the window's two short lists).
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -272,6 +279,7 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     else:
         tick = state.anchor_tick + 1 if state.times else 0
     times, ticks = state.times, state.ticks
+    fitted = len(times) >= 2  # est holds this window's own fit
     times.append(preamble_time)
     ticks.append(tick)
     sx = state.sum_x + tick
@@ -279,6 +287,7 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     sy = state.sum_y + preamble_time
     sxy = state.sum_xy + tick * preamble_time
     r = len(times)
+    base = 0
     if 0 < state.window < r:
         while r > state.window:
             x, y = ticks.pop(0), times.pop(0)
@@ -298,9 +307,22 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
     if r >= 2:
         intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
+        anchor = intercept + tick * slope
+        # With the old intercept and the slope on the 0.125 ms grid, every
+        # residual margin_value forms is computed exactly, as the sums are
+        # (magnitudes stay far below 2**50 ms).  A zero old margin then puts
+        # every old sample exactly on the old line, a refit that is that
+        # line moved onto the rebased ticks keeps them on it, and the new
+        # sample's residual is the comparison with anchor: the margin is
+        # exactly 0.0 without the O(window) pass.
+        if not (fitted and est.margin_ms == 0.0 and preamble_time == anchor
+                and slope == est.period_ms
+                and intercept == est.intercept_ms + base * slope
+                and est.intercept_ms % core.TTI_GRID_MS == 0
+                and slope % core.TTI_GRID_MS == 0):
+            est.margin_ms = margin_value(times, intercept, slope, ticks)
         est.intercept_ms, est.period_ms = intercept, slope
-        est.margin_ms = margin_value(times, intercept, slope, ticks)
-        est.anchor_ms = intercept + tick * slope
+        est.anchor_ms = anchor
     else:
         # a single access sample cannot support a regression: anchor on it
         # directly and keep the classification-time period and margin

@@ -59,14 +59,17 @@ class Scenario:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}")
-        if self.duration_ms <= 0:
-            raise ScenarioError("duration_ms must be > 0")
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
         if self.t_tti_ms <= 0 or self.t_tti_ms % core.TTI_GRID_MS != 0:
             raise ScenarioError(
                 f"t_tti_ms must be a positive multiple of {core.TTI_GRID_MS} ms, "
                 f"got {self.t_tti_ms!r}"
+            )
+        if self.duration_slots < 1:
+            raise ScenarioError(
+                f"duration_ms must span at least one {self.t_tti_ms} ms slot, "
+                f"got {self.duration_ms!r}"
             )
         if self.t_p not in (1, 2, 3):
             raise ScenarioError("t_p must be 1, 2 or 3")

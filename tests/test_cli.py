@@ -204,6 +204,15 @@ class TestSeedPooling:
         assert s2["classes"]["twostep_event"]["generated"] > \
             s1["classes"]["twostep_event"]["generated"]
 
+    @pytest.mark.parametrize("mode", ["simulate", "validate"])
+    def test_repeated_seed_is_exit_1(self, mode, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--mode", mode, *TINY_SIM, "--seed", "3", "1", "3", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed 3 given more than once\n"
+        assert not out.exists()
+
     def test_out_of_range_seed_is_exit_1(self, capsys):
         assert main(["--mode", "simulate", *TINY_SIM, "--seed", "-3"]) == 1
 

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -281,35 +282,44 @@ class TestObserveTwostepAttempt:
             observe_twostep_attempt(state, preamble_time=1.0)
 
 
-def replay_access_series(t_tti, period_slots, window, steps, late_slots=12):
+def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, start=40):
     """Feed a classified periodic device a series of successful accesses.
 
     ``steps`` holds (periods skipped, jitter in slots, late) triples; a late
-    access comes ``late_slots`` after its schedule, as a retry would.
-    Preamble times are whole slots, ``(s + 1) * t_tti``.  After every access
-    the running-sum fit must equal a full refit of the same window, bit for
-    bit.  Returns how many slides, skipped periods and rejections happened.
+    access comes ``late_slots`` after its schedule, as a retry would.  The
+    first initial-phase sample sits at slot ``start``.  Preamble times are
+    whole slots, ``(s + 1) * t_tti``.  After every access the running-sum
+    fit must equal a full refit of the same window, bit for bit.  Returns
+    how many slides, skipped periods and rejections happened, how many
+    refits ran the margin pass and how many skipped it, and how many
+    refits fitted a slope off the 0.125 ms grid.
     """
     state = EstimatorState()
-    start = 40
     for i in range(window):
         # stored as now - t_up + t_tti: the access lattice (s + 1) * t_tti
         now = (start + i * period_slots) * t_tti + 3.0
         observe_uplink_packet(state, now=now, t_up=3.0, t_tti=t_tti)
     classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3, t_tti=t_tti)
     assert state.estimate.kind == "periodic"
-    seen = {"slides": 0, "skips": 0, "rejections": 0}
+    seen = {"slides": 0, "skips": 0, "rejections": 0,
+            "margin_passes": 0, "shortcuts": 0, "off_grid": 0}
     n = window - 1  # the anchor: the last initial sample
     for skipped, jitter, late in steps:
         n += 1 + skipped
         s = start + n * period_slots + jitter + (late_slots if late else 0)
         t = (s + 1) * t_tti
         full = len(state.times) == window
-        observe_twostep_attempt(state, t)
+        with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
+            observe_twostep_attempt(state, t)
         if not state.times or state.times[-1] != t:
             seen["rejections"] += 1
-        elif full:
-            seen["slides"] += 1
+        else:
+            if full:
+                seen["slides"] += 1
+            if len(state.times) >= 2:
+                seen["margin_passes" if margin.call_count else "shortcuts"] += 1
+                if state.estimate.period_ms % 0.125:
+                    seen["off_grid"] += 1
         if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
             seen["skips"] += 1
         assert state.sum_x == sum(state.ticks)
@@ -330,6 +340,39 @@ class TestRunningSumRefit:
                                        (0, -1, False), (1, 0, False)] * 4
         seen = replay_access_series(0.5, 100, 3, steps)
         assert all(count > 0 for count in seen.values()), seen
+
+    def test_exact_lattice_with_skips_needs_one_margin_pass(self):
+        # only the first two-sample refit, which replaces the classification
+        # fit, runs the pass; every later one keeps the same line
+        steps = [(0, 0, False), (2, 0, False), (0, 0, False), (1, 0, False),
+                 (3, 0, False)] * 3
+        seen = replay_access_series(0.5, 100, 4, steps)
+        assert seen["skips"] > 0 and seen["slides"] > 0, seen
+        assert seen["margin_passes"] == 1, seen
+        assert seen["shortcuts"] == len(steps) - 2, seen
+
+    def test_off_grid_slope_runs_the_margin_pass(self):
+        # one sample half a slot late bends four-sample fits off the grid;
+        # the shortcut resumes once it has left the window
+        steps = [(0, 0, False)] * 5 + [(0, 1, False)] + [(0, 0, False)] * 8
+        seen = replay_access_series(0.5, 100, 4, steps)
+        assert seen["off_grid"] > 0, seen
+        assert seen["margin_passes"] >= 1 + seen["off_grid"], seen
+        assert seen["shortcuts"] > 0, seen
+        # one slot of drift every three periods: every window lies exactly on
+        # a line of slope 50 + 0.125/3 ms, and every refit runs the pass
+        steps = [(2, k, False) for k in range(12)]
+        seen = replay_access_series(0.125, 400, 3, steps)
+        assert seen["off_grid"] == seen["margin_passes"] == len(steps) - 1, seen
+        assert seen["shortcuts"] == 0, seen
+
+    @pytest.mark.parametrize("t_tti", [0.125, 0.5, 1.0])
+    def test_times_at_full_scale_length(self, t_tti):
+        # preamble times near 1.05e6 ms, the length of full_scale.scn
+        steps = [(0, 0, False)] * 3 + ([(0, 1, False), (2, 0, False), (0, 0, True)]
+                                       + [(0, 0, False)] * 5 + [(1, 0, False)]) * 3
+        seen = replay_access_series(t_tti, 100, 5, steps, start=int(1.05e6 / t_tti))
+        assert seen["shortcuts"] > 3 and seen["margin_passes"] > 3, seen
 
     @given(
         t_tti=st.sampled_from([0.125, 0.25, 0.5, 1.0]),

@@ -80,6 +80,12 @@ class TestParseErrors:
                            match=r"t_tti_ms must be a positive multiple of 0\.125"):
             parse_scenario("t_tti_ms = 0.3\n")
 
+    @pytest.mark.parametrize("duration_ms", [0.2, 0.25])
+    def test_duration_below_one_slot_named_by_key(self, duration_ms):
+        with pytest.raises(ScenarioError, match=r"duration_ms must span at least one 0\.5 ms"):
+            Scenario(duration_ms=duration_ms, t_tti_ms=0.5)
+        assert Scenario(duration_ms=0.3, t_tti_ms=0.5).duration_slots == 1
+
     def test_finest_slot_length_accepted(self):
         sc = parse_scenario("t_tti_ms = 0.125\nduration_ms = 10\n")
         assert sc.t_tti_ms == 0.125

@@ -63,6 +63,11 @@ class TestRandomStream:
             detection="perfect", twostep_n_periodic=20, twostep_n_event=20,
             twostep_period_ms=50.0, fourstep_n_ue=200, fourstep_rate_per_s=5.0,
         ), 7, "582e0560c67467ecda6e0a772213ed5207040e78ced841d2850bec104821e7e4"),
+        # 50 ms periods, model detection and gated grants: the estimator's
+        # exact-lattice refits run alongside retries, which its gate turns away
+        "estimator_benefit": ("estimator_benefit.scn", dict(
+            duration_ms=3_000.0,
+        ), 9, "001c9d13339b12f4fdb469f0030f10b3717700387a9995f5545151340a6124a1"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
