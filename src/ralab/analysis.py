@@ -235,16 +235,19 @@ def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, flo
     The leave probability is computed as ``exp(-rate·(t_up_ms +
     t_inactive_ms))``, which stays positive up to an exponent of about 745.
     Beyond that it underflows to 0, the chain's connected weight
-    ``1 / (1 - p_conn)`` is infinite, and SolverError is raised.
+    ``1 / (1 - p_conn)`` is infinite, and SolverError is raised.  The
+    holding time ``p_conn / rate`` takes ``p_conn`` from ``expm1``, so it
+    stays positive for rates so tiny that the leave probability rounds to 1.
     """
     lam = params.rate_per_ms
-    leave = math.exp(-lam * (params.t_up_ms + params.t_inactive_ms))
+    hold = params.t_up_ms + params.t_inactive_ms
+    leave = math.exp(-lam * hold)
     if leave == 0.0:
         raise SolverError(
             f"rate_per_ms {lam:g} too high: the connected state's leave "
             "probability underflows to 0, so the chain has no finite solution"
         )
-    return leave, (1.0 - leave) / lam
+    return leave, -math.expm1(-lam * hold) / lam
 
 
 def _fourstep_chain(params: FourStepParams, rho_col: float):

@@ -184,6 +184,11 @@ def _mode_optimize(sc: Scenario, grid: tuple[int, int] | None, out: Path | None)
     n_pool = sc.n_total - sc.n_cf
     kwargs = {}
     if grid is not None:
+        if grid[1] > n_pool:
+            raise CliError(
+                f"--grid n_cr={grid[0]}..{grid[1]} exceeds the preamble pool "
+                f"(n_total - n_cf = {n_pool})"
+            )
         kwargs = {"n_cr_min": grid[0], "n_cr_max": grid[1]}
     result = analysis.optimize_preamble_split(fp, tp, n_pool=n_pool, **kwargs)
     best = result.point(result.best_n_cr)

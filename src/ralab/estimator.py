@@ -9,8 +9,11 @@ period/margin estimate via least squares, fitted once at classification,
 and a preferred transmission-slot class. After classification the
 estimate is refreshed from the preamble times of successful accesses: the
 regression sums of that window are kept as running sums, so the fit costs
-O(1).  The margin costs nothing more while the accesses stay on an exact
-lattice, where it is provably zero, and one O(window) pass otherwise.
+O(1).  The window's ticks are absolute period numbers and the sums count
+from ``EstimatorState.origin``, so a window slide is O(1) as well: it drops
+the oldest sample and rebases the four sums, and rewrites no list.  The
+margin costs nothing more while the accesses stay on an exact lattice,
+where it is provably zero, and one O(window) pass otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from . import core
 
 
-@dataclass
+@dataclass(slots=True)
 class TrafficEstimate:
     """Classification outcome plus the quantities the grant rule needs."""
 
@@ -39,7 +42,7 @@ class TrafficEstimate:
             raise ValueError("periodic estimate needs period_ms >= 0 and margin_ms >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class EstimatorState:
     """Observation state for one device."""
 
@@ -50,7 +53,8 @@ class EstimatorState:
     guard_ms: float = 0.0             # schedule-quantization width of the gate
     ticks: list[int] = field(default_factory=list)  # period number per sample
     anchor_tick: int = 0              # period number of the current anchor
-    # running regression sums over the access window (ticks, times)
+    origin: int = 0                   # period number the sums count ticks from
+    # running regression sums over the access window (ticks - origin, times)
     sum_x: int = 0
     sum_xx: int = 0
     sum_y: float = 0.0
@@ -221,7 +225,7 @@ def classify_traffic_type(
     # the new series can support its own regression.
     state.times = []
     state.ticks = []
-    state.anchor_tick = 0
+    state.anchor_tick = state.origin = 0
     state.sum_x = state.sum_xx = 0
     state.sum_y = state.sum_xy = 0.0
     return est
@@ -233,9 +237,13 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     The sample is the preamble reception time; the sample window keeps the
     most recent ``state.window`` values.  The regression sums over the
     window are running sums: each sample is added once and subtracted once
-    when it leaves, and when the window slides the sums are rebased onto
-    its new first tick algebraically, so the fit costs O(1).  Tick sums
-    are integers and exact.  Preamble times are whole slots, ``(s+1)·t_tti``
+    when it leaves, so the fit costs O(1).  Ticks are stored as absolute
+    period numbers, and the sums count them from ``state.origin`` (0 until
+    the window first slides, then its first tick): a slide drops the oldest
+    sample and rebases the four sums onto the new first tick
+    algebraically, which is O(1) and rewrites no list.  The positions
+    ``[k - origin for k in ticks]`` are built only for a margin pass.  Tick
+    sums are integers and exact.  Preamble times are whole slots, ``(s+1)·t_tti``
     with ``t_tti`` a multiple of 0.125 ms (which ``Scenario`` enforces), so
     every partial float sum is an exact binary fraction as well and the fit
     equals ``linear_regression`` over the same window bit for bit.
@@ -245,7 +253,7 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     is zero, the refit is the old line on the rebased ticks, the new sample
     lies on it and intercept and slope are whole multiples of 0.125 ms,
     every residual is exactly zero, the pass is skipped and the refit's
-    arithmetic is O(1) (a slide still shifts the window's two short lists).
+    arithmetic is O(1) (a slide only pops the head of two short lists).
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -282,32 +290,32 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     fitted = len(times) >= 2  # est holds this window's own fit
     times.append(preamble_time)
     ticks.append(tick)
-    sx = state.sum_x + tick
-    sxx = state.sum_xx + tick * tick
+    origin = state.origin
+    x = tick - origin
+    sx = state.sum_x + x
+    sxx = state.sum_xx + x * x
     sy = state.sum_y + preamble_time
-    sxy = state.sum_xy + tick * preamble_time
+    sxy = state.sum_xy + x * preamble_time
     r = len(times)
     base = 0
-    if 0 < state.window < r:
-        while r > state.window:
-            x, y = ticks.pop(0), times.pop(0)
-            sx -= x
-            sxx -= x * x
-            sy -= y
-            sxy -= x * y
-            r -= 1
-        # rebase every tick x to x - base; the x² line needs the old sum
-        # of x, so that sum moves last
-        base = ticks[0]
-        ticks[:] = [k - base for k in ticks]
+    if 0 < state.window < r:  # one sample entered, so one leaves
+        x, y = ticks.pop(0) - origin, times.pop(0)
+        sx -= x
+        sxx -= x * x
+        sy -= y
+        sxy -= x * y
+        r -= 1
+        # count the sums from the new first tick: every x becomes x - base;
+        # the x² line needs the old sum of x, so that sum moves last
+        base = ticks[0] - origin
         sxy -= base * sy
         sxx -= base * (2 * sx - r * base)
         sx -= r * base
-        tick -= base
+        origin = state.origin = ticks[0]
     state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
     if r >= 2:
         intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
-        anchor = intercept + tick * slope
+        anchor = intercept + (tick - origin) * slope
         # With the old intercept and the slope on the 0.125 ms grid, every
         # residual margin_value forms is computed exactly, as the sums are
         # (magnitudes stay far below 2**50 ms).  A zero old margin then puts
@@ -320,7 +328,8 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
                 and intercept == est.intercept_ms + base * slope
                 and est.intercept_ms % core.TTI_GRID_MS == 0
                 and slope % core.TTI_GRID_MS == 0):
-            est.margin_ms = margin_value(times, intercept, slope, ticks)
+            est.margin_ms = margin_value(times, intercept, slope,
+                                         [k - origin for k in ticks])
         est.intercept_ms, est.period_ms = intercept, slope
         est.anchor_ms = anchor
     else:

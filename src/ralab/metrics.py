@@ -79,7 +79,7 @@ def ecdf_points(samples, failures: int = 0):
     return points
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassMetrics:
     """Counters for one traffic class."""
 

@@ -56,7 +56,7 @@ def cell_id(pid: int, t_ind: int, k: int, n_total: int, n_cr: int, t_p: int) -> 
     return 1 + (n_total - 1 - pid) + n_cr * (t_ind - 1) + n_cr * t_p * k
 
 
-@dataclass
+@dataclass(slots=True)
 class UeRecord:
     """Registry row for one suspended device."""
 

@@ -37,7 +37,7 @@ class _Ue:
     """Mutable per-device state; one instance per simulated device."""
 
     __slots__ = (
-        "uid", "true_kind", "procedure", "twostep", "cm",
+        "uid", "true_kind", "periodic", "procedure", "twostep", "cm",
         "period_ms", "rate_per_ms", "next_arrival_ms",
         "est", "record", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
@@ -47,6 +47,7 @@ class _Ue:
     def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
         self.uid = uid
         self.true_kind = true_kind
+        self.periodic = true_kind == "periodic"
         self.procedure = procedure
         self.twostep = procedure == "twostep"
         self.cm = cm  # the report's counters for this device's class
@@ -138,33 +139,34 @@ class _Engine:
 
     def _build_population(self) -> None:
         sc = self.sc
-        uid = 0
+        ues = self.ues
         for _ in range(sc.twostep_n_periodic):
-            ue = _Ue(uid, "periodic", "twostep", self.cm[CLASS_TWOSTEP_PERIODIC])
+            ue = _Ue(len(ues), "periodic", "twostep", self.cm[CLASS_TWOSTEP_PERIODIC])
             ue.period_ms = sc.twostep_period_ms
             ue.next_arrival_ms = self.rng.uniform(0.0, sc.twostep_period_ms)
             self._setup_twostep(ue)
-            self._schedule_arrival(ue)
-            self.ues.append(ue)
-            uid += 1
+            ues.append(ue)
         rate_ms = sc.twostep_event_rate_per_s / 1000.0
         for _ in range(sc.twostep_n_event):
-            ue = _Ue(uid, "event", "twostep", self.cm[CLASS_TWOSTEP_EVENT])
+            ue = _Ue(len(ues), "event", "twostep", self.cm[CLASS_TWOSTEP_EVENT])
             ue.rate_per_ms = rate_ms
             ue.next_arrival_ms = self.rng.expovariate(rate_ms)
             self._setup_twostep(ue)
-            self._schedule_arrival(ue)
-            self.ues.append(ue)
-            uid += 1
+            ues.append(ue)
         four_rate_ms = sc.fourstep_rate_per_s / 1000.0
         four_cm = self.cm[CLASS_FOURSTEP]
+        random = self._random
         for _ in range(sc.fourstep_n_ue):
-            ue = _Ue(uid, "event", "fourstep", four_cm)
+            ue = _Ue(len(ues), "event", "fourstep", four_cm)
             ue.rate_per_ms = four_rate_ms
-            ue.next_arrival_ms = self.rng.expovariate(four_rate_ms)
-            self._schedule_arrival(ue)
-            self.ues.append(ue)
-            uid += 1
+            # Random.expovariate's own formula, without its call overhead
+            ue.next_arrival_ms = -math.log(1.0 - random()) / four_rate_ms
+            ues.append(ue)
+        # first arrivals, in device order within each slot
+        for ue in ues:
+            slot = int(ue.next_arrival_ms / self.t_tti)
+            if slot < self.n_slots:
+                self.arrivals.setdefault(slot, []).append(ue)
 
     def _setup_twostep(self, ue: _Ue) -> None:
         sc = self.sc
@@ -173,7 +175,7 @@ class _Engine:
             expiry_slot = math.ceil(sc.t_initial_ms / self.t_tti)
             self.admin.setdefault(expiry_slot, []).append(("expiry", ue))
             return
-        if sc.estimator_mode == "oracle" and ue.true_kind == "periodic":
+        if sc.estimator_mode == "oracle" and ue.periodic:
             est = estimator.TrafficEstimate(
                 kind="periodic",
                 period_ms=ue.period_ms,
@@ -214,24 +216,6 @@ class _Engine:
         # decision falls out of exact knowledge of who is transmitting
 
     # ------------------------------------------------------------------
-    # scheduling helpers
-
-    def _schedule_arrival(self, ue: _Ue) -> None:
-        slot = int(ue.next_arrival_ms / self.t_tti)
-        if slot < self.n_slots:
-            self.arrivals.setdefault(slot, []).append(ue)
-
-    def _schedule_tx(self, ue: _Ue, slot: int) -> None:
-        if slot < self.n_slots:
-            self.tx.setdefault(slot, []).append(ue)
-        # beyond the horizon the packet stays pending
-
-    def _first_tx_slot(self, ue: _Ue, earliest: int) -> int:
-        if ue.twostep:
-            return core.next_tx_slot(earliest, self.t_p, ue.t_ind)
-        return earliest
-
-    # ------------------------------------------------------------------
     # deliveries
 
     def _deliver_ra(self, ue: _Ue, delivery_ms: float) -> None:
@@ -246,19 +230,16 @@ class _Engine:
         ue.attempt = 0
         ue.connected_until = delivery_ms + self.t_inactive
 
-    def _deliver_connected(self, ue: _Ue, arrival_ms: float) -> float:
-        delivery = arrival_ms + self.t_up + self.half
-        ue.cm.add_connected_sample(delivery - arrival_ms)
-        ue.connected_until = delivery + self.t_inactive
-        return delivery
-
     def _fail_packet(self, ue: _Ue, known_slot: int) -> None:
         """Attempt cap hit: drop the packet being served, serve the queue."""
         ue.cm.failed += 1
         if ue.queue:
             ue.trigger_arrival = ue.queue.pop(0)
             ue.attempt = 1
-            self._schedule_tx(ue, self._first_tx_slot(ue, known_slot))
+            if ue.twostep:
+                known_slot = core.next_tx_slot(known_slot, self.t_p, ue.t_ind)
+            if known_slot < self.n_slots:
+                self.tx.setdefault(known_slot, []).append(ue)
         else:
             ue.in_ra = False
             ue.attempt = 0
@@ -287,26 +268,34 @@ class _Engine:
         # takes the in_ra, connected and new-access branches.
         if ue.in_ra:
             ue.queue.append(arrival)
-        elif ue.twostep and ue.record is None:
-            # observation phase, or classified and waiting for its context:
-            # the device is still on its initial connection
-            delivery = self._deliver_connected(ue, arrival)
-            if ue.est.phase == "initial":
+        elif (ue.twostep and ue.record is None) or arrival <= ue.connected_until:
+            # a two-step device without a context (observation phase, or
+            # classified and waiting for its context) is still on its
+            # initial connection
+            delivery = arrival + self.t_up + self.half
+            ue.cm.add_connected_sample(delivery - arrival)
+            ue.connected_until = delivery + self.t_inactive
+            if ue.est is not None and ue.est.phase == "initial":
                 self._observe(ue, delivery, slot)
-        elif arrival <= ue.connected_until:
-            self._deliver_connected(ue, arrival)
         else:
             ue.in_ra = True
             ue.attempt = 1
             ue.trigger_arrival = arrival
-            self._schedule_tx(ue, self._first_tx_slot(ue, slot + 1))
+            tx_slot = slot + 1
+            if ue.twostep:
+                tx_slot = core.next_tx_slot(tx_slot, self.t_p, ue.t_ind)
+            # beyond the horizon the packet stays pending
+            if tx_slot < self.n_slots:
+                self.tx.setdefault(tx_slot, []).append(ue)
         # next packet of this device's process
-        if ue.true_kind == "periodic":
+        if ue.periodic:
             ue.next_arrival_ms += ue.period_ms
         else:
             # Random.expovariate's own formula, without its call overhead
             ue.next_arrival_ms += -math.log(1.0 - self._random()) / ue.rate_per_ms
-        self._schedule_arrival(ue)
+        slot = int(ue.next_arrival_ms / self.t_tti)
+        if slot < self.n_slots:
+            self.arrivals.setdefault(slot, []).append(ue)
 
     def _observe(self, ue: _Ue, delivery: float, slot: int) -> None:
         """Record an initial-phase packet; classify once enough arrived."""
@@ -326,7 +315,9 @@ class _Engine:
             self._fail_packet(ue, known)
         else:
             ue.attempt += 1
-            self._schedule_tx(ue, core.next_tx_slot(known, self.t_p, ue.t_ind))
+            slot = core.next_tx_slot(known, self.t_p, ue.t_ind)
+            if slot < self.n_slots:
+                self.tx.setdefault(slot, []).append(ue)
 
     def _retry_fourstep(self, ue: _Ue, s: int, msg3_collision: bool) -> None:
         known = s + (self.conres_known_slots if msg3_collision else self.rar_expiry_slots)
@@ -339,7 +330,9 @@ class _Engine:
             backoff = self._getrandbits(k)
             while backoff >= n:
                 backoff = self._getrandbits(k)
-            self._schedule_tx(ue, known + backoff)
+            slot = known + backoff
+            if slot < self.n_slots:
+                self.tx.setdefault(slot, []).append(ue)
 
     def _handle_tx(self, txs: list[_Ue], s: int) -> None:
         two_groups: dict[int, list[_Ue]] = {}
@@ -361,13 +354,29 @@ class _Engine:
                 four_groups.setdefault(preamble, []).append((ue, detected))
         if two_groups:
             self._resolve_twostep(two_groups, s, perfect)
+        delivery = s * self.t_tti + self.four_delivery_ms
         for group in four_groups.values():
-            self._resolve_fourstep(group, s)
+            # a lone preamble cannot collide, whatever its detection
+            collision = len(group) >= 2 and sum(det for _, det in group) >= 2
+            for ue, det in group:
+                cm = ue.cm
+                if not det:
+                    cm.unnec_failed += 1
+                    self._retry_fourstep(ue, s, msg3_collision=False)
+                elif collision:
+                    # preamble, response and resume request all wasted
+                    cm.unnec_failed += 3
+                    self._retry_fourstep(ue, s, msg3_collision=True)
+                else:
+                    cm.necessary += 4
+                    self._deliver_ra(ue, delivery)
 
     def _resolve_twostep(self, groups: dict[int, list[_Ue]], s: int, perfect: bool) -> None:
         t_rar = (s + 1) * self.t_tti
         k = self.slot_class[s % core.FRAME_LEN]
         delivery = s * self.t_tti + self.two_delivery_ms
+        reserved = self.reserved_pid
+        gated = self.mode == "on"
         for pid, ues in groups.items():
             if perfect:
                 detected = True
@@ -381,9 +390,10 @@ class _Engine:
                 continue
             transmitting = {ue.uid for ue in ues}
             granted: set[int] = set()
-            if pid == self.reserved_pid and self.mode == "on":
+            refresh = gated and pid == reserved
+            if refresh:
                 self._grant_due_periodic(k, t_rar, transmitting, granted)
-            elif pid == self.reserved_pid and self.mode == "oracle":
+            elif pid == reserved:  # oracle mode; "off" registers none here
                 granted = transmitting  # exact schedule knowledge, no extras
             else:
                 for member in self.cells.get((pid, k), ()):
@@ -395,7 +405,8 @@ class _Engine:
             for ue in ues:
                 if ue.uid in granted:
                     ue.cm.necessary += 2
-                    self._refresh_periodic(ue, t_rar)
+                    if refresh:
+                        self._refresh_periodic(ue, t_rar)
                     self._deliver_ra(ue, delivery)
                 else:
                     # response withheld by the grant rule; looks like a miss
@@ -423,52 +434,34 @@ class _Engine:
             heapq.heappush(heap, entry)
 
     def _refresh_periodic(self, ue: _Ue, t_rar: float) -> None:
-        est = ue.record.estimate
-        if est is None or est.kind != "periodic" or self.mode != "on":
-            return
+        record = ue.record
         estimator.observe_twostep_attempt(ue.est, t_rar)
         # Anchor the next-grant window on the fitted reception time rather
         # than the raw one: a retry-delayed success then shifts the anchor by
         # its leverage share only, so one late sample cannot drag every later
         # window behind the device's actual schedule.
-        ue.record.t0_last = est.anchor_ms
-        ue.threshold = protocol.grant_threshold(ue.record)
+        record.t0_last = record.estimate.anchor_ms
+        ue.threshold = protocol.grant_threshold(record)
         heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
-
-    def _resolve_fourstep(self, group: list[tuple[_Ue, bool]], s: int) -> None:
-        # a lone preamble cannot collide, whatever its detection
-        collision = len(group) >= 2 and sum(det for _, det in group) >= 2
-        delivery = s * self.t_tti + self.four_delivery_ms
-        for ue, det in group:
-            cm = ue.cm
-            if not det:
-                cm.unnec_failed += 1
-                self._retry_fourstep(ue, s, msg3_collision=False)
-            elif collision:
-                # preamble, response and resume request all wasted
-                cm.unnec_failed += 3
-                self._retry_fourstep(ue, s, msg3_collision=True)
-            else:
-                cm.necessary += 4
-                self._deliver_ra(ue, delivery)
 
     # ------------------------------------------------------------------
 
     def run(self) -> MetricsReport:
+        admin, arrivals, tx = self.admin, self.arrivals, self.tx
+        handle_admin, handle_arrival = self._handle_admin, self._handle_arrival
+        handle_tx = self._handle_tx
         for slot in range(self.n_slots):
-            events = self.admin.pop(slot, None)
+            events = admin.pop(slot, None)
             if events is not None:
-                self._handle_admin(events)
-            arrivals = self.arrivals.get(slot)
-            if arrivals is not None:
-                i = 0
-                while i < len(arrivals):  # same-slot re-arrivals append here
-                    self._handle_arrival(arrivals[i], slot)
-                    i += 1
-                del self.arrivals[slot]
-            txs = self.tx.pop(slot, None)
+                handle_admin(events)
+            due = arrivals.get(slot)
+            if due is not None:
+                for ue in due:  # same-slot re-arrivals append here, in turn
+                    handle_arrival(ue, slot)
+                del arrivals[slot]
+            txs = tx.pop(slot, None)
             if txs is not None:
-                self._handle_tx(txs, slot)
+                handle_tx(txs, slot)
         self._finish()
         return self.report
 
@@ -476,15 +469,10 @@ class _Engine:
         for ue in self.ues:
             if ue.in_ra:
                 ue.cm.pending += 1 + len(ue.queue)
-        for ue in self.ues:
-            if (
-                ue.true_kind == "periodic"
-                and ue.est is not None
-                and ue.est.estimate is not None
-                and ue.est.estimate.kind == "periodic"
-            ):
-                self.report.period_estimates.append(ue.est.estimate.period_ms)
-                self.report.margin_estimates.append(ue.est.estimate.margin_ms)
+            est = ue.est.estimate if ue.periodic and ue.est is not None else None
+            if est is not None and est.kind == "periodic":
+                self.report.period_estimates.append(est.period_ms)
+                self.report.margin_estimates.append(est.margin_ms)
         self.report.registry_grew = self.registry.grew_capacity
         self.report.check_conservation()
 

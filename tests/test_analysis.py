@@ -206,6 +206,19 @@ class TestFourStepFixedPoint:
         assert solve_fourstep(fourstep(rate=1e-16)).tau > 0.0
         assert solve_twostep(twostep(rate=1e-16)).tau > 0.0
 
+    @pytest.mark.parametrize("solve, params", [
+        (solve_fourstep, fourstep(rate=1e-303)),
+        (solve_twostep, twostep(rate=1e-303)),
+    ])
+    def test_rate_below_leave_resolution_solves(self, solve, params):
+        # exp(-rate * (t_up + t_inactive)) rounds to 1 here: the connected
+        # holding time p_conn / rate needs p_conn from expm1 to stay positive,
+        # and tends to t_up + t_inactive as the rate falls
+        sol = solve(params)
+        assert sol.total_probability == pytest.approx(1.0, abs=1e-9)
+        assert sol.holding_connected == pytest.approx(
+            params.t_up_ms + params.t_inactive_ms, rel=1e-12)
+
     def test_tiny_rate_matches_exact_fixed_point(self):
         params = fourstep(rate=1e-15)
         want = fourstep_tau_exact(params)

@@ -73,6 +73,18 @@ class TestExitCodes:
         assert err.startswith("error: rate_per_ms 100 too high")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("population, key", [
+        ("traffic.fourstep.n_ue", "traffic.fourstep.rate_per_s"),
+        ("traffic.twostep.n_event", "traffic.twostep.event_rate_per_s"),
+    ])
+    def test_tiny_rate_analyzes(self, population, key, capsys):
+        # the connected state's leave probability rounds to 1 at this rate
+        argv = ["--mode", "analyze", "--set", f"{population}=5",
+                "--set", f"{key}=1e-300"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "total_probability=1" in out
+
     @pytest.mark.parametrize("mode", ["simulate", "analyze"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("population, key", [
@@ -240,6 +252,17 @@ class TestOptimizeMode:
 
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert 2 <= summary["n_cr_star"] <= 10
+
+    @pytest.mark.parametrize("grid", ["n_cr=60..70", "n_cr=2..55"])
+    def test_grid_beyond_pool_is_exit_1(self, grid, tmp_path, capsys):
+        # the default pool is n_total - n_cf = 64 - 10 = 54 preambles
+        argv = ["--mode", "optimize", "--set", "traffic.fourstep.n_ue=5",
+                "--grid", grid, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid") and "= 54)" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "split.csv").exists()
 
     def test_scenario_file_input(self, tmp_path, capsys):
         sc = Scenario(fourstep_n_ue=300, fourstep_rate_per_s=1.0)

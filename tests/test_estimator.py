@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -275,6 +277,24 @@ class TestObserveTwostepAttempt:
             observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter)
         assert state.estimate.margin_ms > 0.0
 
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["deepcopy", "pickle"])
+    def test_mid_window_state_survives_copying(self, clone):
+        # a slotted record has no __dict__, yet must copy and pickle whole
+        state = self.classified()
+        base = 457.5
+        for i in range(1, 15):
+            jitter = 1.5 if i == 12 else 0.0
+            observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter)
+        assert not hasattr(state, "__dict__")
+        assert state.origin > 0 and state.estimate.margin_ms > 0.0  # slid, jittered
+        twin = clone(state)
+        assert twin == state and twin.estimate is not state.estimate
+        for s in (state, twin):
+            observe_twostep_attempt(s, preamble_time=base + 50.0 * 15)
+        assert twin == state
+
     def test_event_devices_rejected(self):
         state = EstimatorState(phase="post")
         state.estimate = estimator.TrafficEstimate(kind="event")
@@ -322,15 +342,17 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
                     seen["off_grid"] += 1
         if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
             seen["skips"] += 1
-        assert state.sum_x == sum(state.ticks)
-        assert state.sum_xx == sum(x * x for x in state.ticks)
+        # ticks are absolute period numbers; the sums count them from origin
+        xs = [k - state.origin for k in state.ticks]
+        assert state.sum_x == sum(xs)
+        assert state.sum_xx == sum(x * x for x in xs)
         assert state.sum_y == math.fsum(state.times)
-        assert state.sum_xy == math.fsum(x * y for x, y in zip(state.ticks, state.times))
+        assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
         if len(state.times) >= 2:
-            intercept, slope = linear_regression(state.times, state.ticks)
+            intercept, slope = linear_regression(state.times, xs)
             est = state.estimate
             assert (est.intercept_ms, est.period_ms) == (intercept, slope)
-            assert est.margin_ms == margin_value(state.times, intercept, slope, state.ticks)
+            assert est.margin_ms == margin_value(state.times, intercept, slope, xs)
     return seen
 
 

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +22,8 @@ from ralab.metrics import (
     quantile_summary,
     satisfiable_latency,
 )
+from ralab.scenario import Scenario
+from ralab.simulator import run_scenario
 
 
 class TestSatisfiableLatency:
@@ -201,6 +205,21 @@ class TestMergeReports:
         forward = pooled(range(len(reports)))
         backward = pooled(reversed(range(len(reports))))
         assert forward == backward
+
+
+class TestSlottedRecords:
+    def test_real_report_survives_pickle_and_deepcopy(self):
+        sc = Scenario(duration_ms=1_500.0, n_cr=8, estimator_mode="on",
+                      detection="model", twostep_n_periodic=10, twostep_n_event=10,
+                      twostep_period_ms=50.0, fourstep_n_ue=30, fourstep_rate_per_s=2.0)
+        report = run_scenario(sc, seed=3)
+        want = report.to_dict()
+        assert report.period_estimates
+        assert all(cm.delivered for cm in report.classes.values())
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin.to_dict() == want
+            for cm in twin.classes.values():
+                assert type(cm) is ClassMetrics and not hasattr(cm, "__dict__")
 
 
 class TestLoadAccounting:

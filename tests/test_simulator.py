@@ -68,6 +68,14 @@ class TestRandomStream:
         "estimator_benefit": ("estimator_benefit.scn", dict(
             duration_ms=3_000.0,
         ), 9, "001c9d13339b12f4fdb469f0030f10b3717700387a9995f5545151340a6124a1"),
+        # the two-step resolve's other grant modes: exact schedule knowledge,
+        # and every device served as event traffic
+        "smart_factory_oracle": ("smart_factory_mix.scn", dict(
+            duration_ms=3_000.0, estimator_mode="oracle",
+        ), 1, "5ccc5d7b2f4accc5d659d9c3b3f1b5ff30f20c9d5be701e5b495f2feda3825fc"),
+        "smart_factory_off": ("smart_factory_mix.scn", dict(
+            duration_ms=3_000.0, estimator_mode="off",
+        ), 1, "1b34ef94be2ac48c705e96660100b8c4036e99432eac97e7d452ed8417939652"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
