@@ -1,7 +1,8 @@
 """Command-line front end: simulate, analyze, optimize, validate.
 
 Exit codes: 0 on success, 2 when a validation tolerance is missed, 1 for
-scenario/argument parse errors and solver failures.
+scenario/argument parse errors, solver failures and a validation run too
+short to expect one packet of a checked class.
 """
 
 from __future__ import annotations
@@ -223,6 +224,15 @@ def _mode_validate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
     tp = twostep_params(sc)
     if fp is None and tp is None:
         raise CliError("validate needs a non-empty device population")
+    per_ms = [("fourstep", fp.n_ue * fp.rate_per_ms)] if fp is not None else []
+    if tp is not None:
+        per_ms.append(("twostep_event", tp.n_event * tp.rate_per_ms))
+    for name, rate in per_ms:
+        expected = rate * sc.duration_ms * len(seeds)
+        if expected < 1:
+            # a relative error cannot resolve a load the run does not see
+            raise CliError(f"validate expects {fmt12(expected)} {name} packets "
+                           "over the run, fewer than 1")
     pooled, per_seed = simulator.run_seeds(sc, seeds)
     load = metrics.load_accounting(pooled)
     checks = []

@@ -11,9 +11,10 @@ estimate is refreshed from the preamble times of successful accesses: the
 regression sums of that window are kept as running sums, so the fit costs
 O(1).  The window's ticks are absolute period numbers and the sums count
 from ``EstimatorState.origin``, so a window slide is O(1) as well: it drops
-the oldest sample and rebases the four sums, and rewrites no list.  The
-margin costs nothing more while the accesses stay on an exact lattice,
-where it is provably zero, and one O(window) pass otherwise.
+the oldest sample and rebases the four sums, and rewrites no list.  An
+access on a locked lattice (a zero-margin fit on the 0.125 ms grid) keeps
+the fit as it is, with no regression at all; any other access costs a
+refit from the sums plus one O(window) margin pass.
 """
 
 from __future__ import annotations
@@ -237,23 +238,24 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     The sample is the preamble reception time; the sample window keeps the
     most recent ``state.window`` values.  The regression sums over the
     window are running sums: each sample is added once and subtracted once
-    when it leaves, so the fit costs O(1).  Ticks are stored as absolute
-    period numbers, and the sums count them from ``state.origin`` (0 until
-    the window first slides, then its first tick): a slide drops the oldest
-    sample and rebases the four sums onto the new first tick
-    algebraically, which is O(1) and rewrites no list.  The positions
-    ``[k - origin for k in ticks]`` are built only for a margin pass.  Tick
-    sums are integers and exact.  Preamble times are whole slots, ``(s+1)·t_tti``
-    with ``t_tti`` a multiple of 0.125 ms (which ``Scenario`` enforces), so
-    every partial float sum is an exact binary fraction as well and the fit
-    equals ``linear_regression`` over the same window bit for bit.
+    when it leaves.  Ticks are stored as absolute period numbers, and the
+    sums count them from ``state.origin`` (0 until the window first slides,
+    then its first tick): a slide drops the oldest sample and rebases the
+    four sums onto the new first tick algebraically, which is O(1) and
+    rewrites no list.  Tick sums are integers and exact.  Preamble times are
+    whole slots, ``(s+1)·t_tti`` with ``t_tti`` a multiple of 0.125 ms
+    (which ``Scenario`` enforces), so every partial float sum is an exact
+    binary fraction as well and the fit equals ``linear_regression`` over
+    the same window bit for bit.
 
-    The margin (a mean absolute residual) costs one O(window)
-    ``margin_value`` pass, except on an exact lattice: when the old margin
-    is zero, the refit is the old line on the rebased ticks, the new sample
-    lies on it and intercept and slope are whole multiples of 0.125 ms,
-    every residual is exactly zero, the pass is skipped and the refit's
-    arithmetic is O(1) (a slide only pops the head of two short lists).
+    Cost: O(1) with no regression on a locked lattice, otherwise a refit
+    from the sums plus one O(window) ``margin_value`` pass.  The lattice is
+    locked when the window holds its own fit, its margin is zero, intercept
+    and slope are whole multiples of 0.125 ms and the sample lands exactly
+    on the lattice point.  Every sample then lies on the fitted line, every
+    residual is computed exactly, and least squares over the new window
+    returns that line on the rebased ticks with a zero margin: the update
+    only moves the intercept by the rebase and the anchor onto the sample.
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -276,18 +278,25 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     est = state.estimate
     if est is None or est.kind != "periodic":
         raise ValueError("attempt tracking applies to periodic devices only")
-    if (state.times or est.anchor_ms) and est.period_ms > 0:
-        elapsed = max(0, round((preamble_time - est.anchor_ms) / est.period_ms))
-        lattice = est.anchor_ms + elapsed * est.period_ms
-        if abs(preamble_time - lattice) > max(est.margin_ms, state.guard_ms):
+    times, ticks = state.times, state.ticks
+    period = est.period_ms
+    locked = False
+    if (times or est.anchor_ms) and period > 0:
+        elapsed = round((preamble_time - est.anchor_ms) / period)
+        if elapsed < 0:
+            elapsed = 0
+        lattice = est.anchor_ms + elapsed * period
+        margin, guard = est.margin_ms, state.guard_ms
+        if abs(preamble_time - lattice) > (guard if margin < guard else margin):
             est.anchor_ms = lattice
             state.anchor_tick += elapsed
             return state
         tick = state.anchor_tick + elapsed
+        locked = (preamble_time == lattice and margin == 0.0 and len(times) >= 2
+                  and period % core.TTI_GRID_MS == 0
+                  and est.intercept_ms % core.TTI_GRID_MS == 0)
     else:
-        tick = state.anchor_tick + 1 if state.times else 0
-    times, ticks = state.times, state.ticks
-    fitted = len(times) >= 2  # est holds this window's own fit
+        tick = state.anchor_tick + 1 if times else 0
     times.append(preamble_time)
     ticks.append(tick)
     origin = state.origin
@@ -313,28 +322,17 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         sx -= r * base
         origin = state.origin = ticks[0]
     state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
-    if r >= 2:
+    state.anchor_tick = tick
+    if locked:
+        est.intercept_ms += base * period
+        est.anchor_ms = preamble_time
+    elif r >= 2:
         intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
-        anchor = intercept + (tick - origin) * slope
-        # With the old intercept and the slope on the 0.125 ms grid, every
-        # residual margin_value forms is computed exactly, as the sums are
-        # (magnitudes stay far below 2**50 ms).  A zero old margin then puts
-        # every old sample exactly on the old line, a refit that is that
-        # line moved onto the rebased ticks keeps them on it, and the new
-        # sample's residual is the comparison with anchor: the margin is
-        # exactly 0.0 without the O(window) pass.
-        if not (fitted and est.margin_ms == 0.0 and preamble_time == anchor
-                and slope == est.period_ms
-                and intercept == est.intercept_ms + base * slope
-                and est.intercept_ms % core.TTI_GRID_MS == 0
-                and slope % core.TTI_GRID_MS == 0):
-            est.margin_ms = margin_value(times, intercept, slope,
-                                         [k - origin for k in ticks])
+        est.margin_ms = margin_value(times, intercept, slope, [k - origin for k in ticks])
         est.intercept_ms, est.period_ms = intercept, slope
-        est.anchor_ms = anchor
+        est.anchor_ms = intercept + (tick - origin) * slope
     else:
         # a single access sample cannot support a regression: anchor on it
         # directly and keep the classification-time period and margin
         est.anchor_ms = preamble_time
-    state.anchor_tick = tick
     return state

@@ -392,7 +392,8 @@ class _Engine:
             granted: set[int] = set()
             refresh = gated and pid == reserved
             if refresh:
-                self._grant_due_periodic(k, t_rar, transmitting, granted)
+                heap = self.pu_heaps[k]  # every device granted below is on it
+                self._grant_due_periodic(heap, t_rar, transmitting, granted)
             elif pid == reserved:  # oracle mode; "off" registers none here
                 granted = transmitting  # exact schedule knowledge, no extras
             else:
@@ -406,7 +407,15 @@ class _Engine:
                 if ue.uid in granted:
                     ue.cm.necessary += 2
                     if refresh:
-                        self._refresh_periodic(ue, t_rar)
+                        # anchor the next grant on the fitted time, not the
+                        # raw one: a retry-delayed success shifts it by its
+                        # leverage share only, so one late sample cannot
+                        # drag every later window behind the schedule
+                        estimator.observe_twostep_attempt(ue.est, t_rar)
+                        record = ue.record
+                        record.t0_last = record.estimate.anchor_ms
+                        ue.threshold = protocol.grant_threshold(record)
+                        heapq.heappush(heap, (ue.threshold, ue.uid, ue))
                     self._deliver_ra(ue, delivery)
                 else:
                     # response withheld by the grant rule; looks like a miss
@@ -414,10 +423,9 @@ class _Engine:
                     self._retry_twostep(ue, s)
 
     def _grant_due_periodic(
-        self, k: int, t_rar: float, transmitting: set[int], granted: set[int]
+        self, heap: list, t_rar: float, transmitting: set[int], granted: set[int]
     ) -> None:
-        """Grant every registered periodic device currently due in class ``k``."""
-        heap = self.pu_heaps[k]
+        """Grant every periodic device due on ``heap`` (one slot class)."""
         repush = []
         while heap and heap[0][0] <= t_rar:
             threshold, uid, ue = heapq.heappop(heap)
@@ -432,17 +440,6 @@ class _Engine:
             # transmitting devices get a fresh entry after their success
         for entry in repush:
             heapq.heappush(heap, entry)
-
-    def _refresh_periodic(self, ue: _Ue, t_rar: float) -> None:
-        record = ue.record
-        estimator.observe_twostep_attempt(ue.est, t_rar)
-        # Anchor the next-grant window on the fitted reception time rather
-        # than the raw one: a retry-delayed success then shifts the anchor by
-        # its leverage share only, so one late sample cannot drag every later
-        # window behind the device's actual schedule.
-        record.t0_last = record.estimate.anchor_ms
-        ue.threshold = protocol.grant_threshold(record)
-        heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
 
     # ------------------------------------------------------------------
 

@@ -133,6 +133,22 @@ class TestExitCodes:
         assert main(argv) == 0
         assert "PASS fourstep" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("population, key, name", [
+        ("traffic.fourstep.n_ue", "traffic.fourstep.rate_per_s", "fourstep"),
+        ("traffic.twostep.n_event", "traffic.twostep.event_rate_per_s", "twostep_event"),
+    ])
+    def test_validate_run_too_short_to_see_a_packet_is_exit_1(self, population, key,
+                                                              name, capsys):
+        # 5 devices at 1e-300/s over 100 ms expect 5e-301 packets: the
+        # relative error has no resolution there, which is not a model miss
+        argv = ["--mode", "validate", "--set", f"{population}=5",
+                "--set", f"{key}=1e-300", "--set", "duration_ms=100"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: validate expects 5e-301 {name} packets " \
+            "over the run, fewer than 1\n"
+
     def test_validate_miss_is_exit_2(self, capsys, monkeypatch):
         # force a wrong prediction: the exit-code contract is what is under
         # test here, the physics agreement is criterion 4's job

@@ -388,6 +388,54 @@ class TestRunningSumRefit:
         assert seen["off_grid"] == seen["margin_passes"] == len(steps) - 1, seen
         assert seen["shortcuts"] == 0, seen
 
+    def test_locked_lattice_skips_the_refit(self):
+        t_tti, period_slots, window, start = 0.5, 100, 4, 40
+        state = EstimatorState()
+        for i in range(window):
+            now = (start + i * period_slots) * t_tti + 3.0
+            observe_uplink_packet(state, now=now, t_up=3.0, t_tti=t_tti)
+        classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3,
+                              t_tti=t_tti)
+        n = window - 1
+
+        def access(skipped, jitter=0):
+            # the refit's calls: (regression_from_sums, margin_value)
+            nonlocal n
+            n += 1 + skipped
+            t = (start + n * period_slots + jitter + 1) * t_tti
+            with mock.patch.object(estimator, "regression_from_sums",
+                                   wraps=estimator.regression_from_sums) as fit, \
+                    mock.patch.object(estimator, "margin_value",
+                                      wraps=margin_value) as margin:
+                observe_twostep_attempt(state, t)
+            assert state.times[-1] == t  # accepted
+            return fit.call_count, margin.call_count
+
+        assert [access(0), access(0)] == [(0, 0), (1, 1)]  # first fitted window
+        steps = [0, 2, 0, 1, 3, 0, 0] * 2
+        assert [access(skipped) for skipped in steps] == [(0, 0)] * len(steps)
+        # the window slid and spans skipped periods
+        assert state.origin > window and state.ticks[-1] - state.ticks[0] >= len(state.ticks)
+        # one slot of jitter leaves the locked path and refits exactly
+        assert access(0, jitter=1) == (1, 1)
+        xs = [k - state.origin for k in state.ticks]
+        intercept, slope = linear_regression(state.times, xs)
+        est = state.estimate
+        assert (est.intercept_ms, est.period_ms) == (intercept, slope)
+        assert est.margin_ms == margin_value(state.times, intercept, slope, xs) > 0.0
+
+    def test_on_grid_fit_with_a_margin_is_not_locked(self):
+        # jitters of -1, +2 and -1 slots in a five-sample window keep the
+        # line on the schedule and on the grid, with a margin of 0.8 slot;
+        # on-lattice samples must still refit while the jitter leaves the
+        # window, since each jittered sample that leaves moves the line
+        steps = ([(0, 0, False)] * 5 + [(0, -1, False), (0, 2, False), (0, -1, False)]
+                 + [(0, 0, False)] * 6)
+        seen = replay_access_series(0.5, 100, 5, steps)
+        assert seen["off_grid"] == 4, seen
+        # passes: the first fit, three jittered samples, five to flush them
+        assert (seen["margin_passes"], seen["shortcuts"]) == (9, 4), seen
+
     @pytest.mark.parametrize("t_tti", [0.125, 0.5, 1.0])
     def test_times_at_full_scale_length(self, t_tti):
         # preamble times near 1.05e6 ms, the length of full_scale.scn

@@ -70,6 +70,13 @@ class TestRandomStream:
         ), 9, "001c9d13339b12f4fdb469f0030f10b3717700387a9995f5545151340a6124a1"),
         # the two-step resolve's other grant modes: exact schedule knowledge,
         # and every device served as event traffic
+        # the same run on the 0.25 ms and 1 ms slot grids
+        "estimator_benefit_quarter_ms": ("estimator_benefit.scn", dict(
+            duration_ms=3_000.0, t_tti_ms=0.25, t_p=2, r_threshold=9,
+        ), 9, "54c4cea48b88cae36cdbcaca679a7531cf3312effb9e53a6e7dc67ab0ce2f1f5"),
+        "estimator_benefit_one_ms": ("estimator_benefit.scn", dict(
+            duration_ms=3_000.0, t_tti_ms=1.0, t_p=1,
+        ), 9, "fbba2e55d5b3fdc0b846b772efeab9ea98ed9e47e67fec297201baeba0581951"),
         "smart_factory_oracle": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, estimator_mode="oracle",
         ), 1, "5ccc5d7b2f4accc5d659d9c3b3f1b5ff30f20c9d5be701e5b495f2feda3825fc"),
