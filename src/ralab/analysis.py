@@ -372,7 +372,14 @@ def load_fourstep(solution: StationarySolution) -> float:
 
 
 def failure_probability(solution: StationarySolution) -> float:
-    """Probability that an access attempt sequence exhausts all attempts."""
+    """Stationary mass of failure transitions per chain step.
+
+    Returns ``Σ_n π(M, n)·(1 − p_n)`` over the states of the last attempt
+    M: the stationary probability that a chain step is an access failing
+    its last attempt, not the probability that an access fails.  The
+    figure per access divides this by ``pi[0, 0]``, the access starts per
+    step.
+    """
     last = solution.pi[-1]
     p_first = solution.detect[-1]
     out = last[0] * (1.0 - p_first)

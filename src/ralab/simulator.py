@@ -1,8 +1,15 @@
 """Slot-driven Monte Carlo engine for both random-access procedures.
 
 The engine advances one transmission slot at a time and keeps three event
-tables keyed by slot index: packet arrivals, preamble transmissions, and
-administrative events (context allocation, observation-timer expiry).
+tables: packet arrivals, preamble transmissions, and administrative events
+(context allocation, observation-timer expiry), the last a dict keyed by
+slot.  The others are slot rings: lists indexed by ``slot & mask``, ``None``
+for an empty slot, a power of two long and covering the larger of
+``RING_CAP`` and the farthest a transmission is queued ahead (response
+window or contention resolution, largest backoff, one frame), or the whole
+run if shorter.  First arrivals and those beyond the ring wait in ``far``
+and go ahead of the ring's list for their slot, as they were queued first.
+Memory follows the lookahead and the cap, not the run length.
 Everything a run produces lands in a :class:`~ralab.metrics.MetricsReport`.
 
 Conventions (times in ms, slots are ``t_tti`` wide):
@@ -31,6 +38,9 @@ from .scenario import Scenario
 CLASS_TWOSTEP_PERIODIC = "twostep_periodic"
 CLASS_TWOSTEP_EVENT = "twostep_event"
 CLASS_FOURSTEP = "fourstep"
+
+# slot-ring length limit, unless the transmission lookahead needs more
+RING_CAP = 1 << 14
 
 
 class _Ue:
@@ -110,6 +120,14 @@ class _Engine:
         )
         self.two_delivery_ms = core.TOTAL_TWOSTEP_MS - self.half
         self.four_delivery_ms = core.TOTAL_FOURSTEP_MS - self.half
+        lookahead = (max(self.rar_expiry_slots, self.conres_known_slots)
+                     + self.backoff_slots_max + core.FRAME_LEN)
+        size = min(self.n_slots, max(lookahead + 1, RING_CAP))
+        size = 1 << (size - 1).bit_length()
+        self.mask = size - 1
+        self.arrivals: list[list[_Ue] | None] = [None] * size
+        self.tx: list[list[_Ue] | None] = [None] * size
+        self.far: dict[int, list[_Ue]] = {}
 
         self.registry = protocol.BsRegistry(
             n_total=sc.n_total, n_cr=sc.n_cr, t_p=sc.t_p,
@@ -121,15 +139,15 @@ class _Engine:
         for k in range(1, sc.t_p + 1):
             for fs in core.allowed_slots(sc.t_p, k):
                 self.slot_class[fs] = k
-        # (pid, t_ind) -> devices registered there (event / always-grant cells)
-        self.cells: dict[tuple[int, int], list[_Ue]] = {}
+        # (pid, t_ind) -> devices registered in that event (always-grant)
+        # cell, counted per class as [event, periodic]
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        self.cell_cms = (self.cm[CLASS_TWOSTEP_EVENT], self.cm[CLASS_TWOSTEP_PERIODIC])
         # t_ind -> heap of (grant threshold, uid, ue) for gated periodic devices
         self.pu_heaps: dict[int, list[tuple[float, int, _Ue]]] = {
             k: [] for k in range(1, sc.t_p + 1)
         }
 
-        self.arrivals: dict[int, list[_Ue]] = {}
-        self.tx: dict[int, list[_Ue]] = {}
         self.admin: dict[int, list[tuple[str, _Ue]]] = {}
         self.ues: list[_Ue] = []
         self._build_population()
@@ -166,7 +184,7 @@ class _Engine:
         for ue in ues:
             slot = int(ue.next_arrival_ms / self.t_tti)
             if slot < self.n_slots:
-                self.arrivals.setdefault(slot, []).append(ue)
+                self.far.setdefault(slot, []).append(ue)
 
     def _setup_twostep(self, ue: _Ue) -> None:
         sc = self.sc
@@ -211,7 +229,7 @@ class _Engine:
             ue.threshold = protocol.grant_threshold(record)
             heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
         elif est.kind != "periodic":
-            self.cells.setdefault((ue.pid, ue.t_ind), []).append(ue)
+            self.cells.setdefault((ue.pid, ue.t_ind), [0, 0])[ue.periodic] += 1
         # oracle-mode periodic devices need no lookup structure: the grant
         # decision falls out of exact knowledge of who is transmitting
 
@@ -230,6 +248,16 @@ class _Engine:
         ue.attempt = 0
         ue.connected_until = delivery_ms + self.t_inactive
 
+    def _push_tx(self, ue: _Ue, slot: int) -> None:
+        """Queue a preamble; beyond the horizon the packet stays pending."""
+        if slot < self.n_slots:
+            i = slot & self.mask
+            queued = self.tx[i]
+            if queued is None:
+                self.tx[i] = [ue]
+            else:
+                queued.append(ue)
+
     def _fail_packet(self, ue: _Ue, known_slot: int) -> None:
         """Attempt cap hit: drop the packet being served, serve the queue."""
         ue.cm.failed += 1
@@ -238,8 +266,7 @@ class _Engine:
             ue.attempt = 1
             if ue.twostep:
                 known_slot = core.next_tx_slot(known_slot, self.t_p, ue.t_ind)
-            if known_slot < self.n_slots:
-                self.tx.setdefault(known_slot, []).append(ue)
+            self._push_tx(ue, known_slot)
         else:
             ue.in_ra = False
             ue.attempt = 0
@@ -260,42 +287,65 @@ class _Engine:
                     self.report.classification[f"{ue.true_kind}_as_{est.kind}"] += 1
                     self._allocate(ue, est)
 
-    def _handle_arrival(self, ue: _Ue, slot: int) -> None:
-        arrival = slot * self.t_tti + self.half
-        ue.cm.generated += 1
-        # A device without a context is never in random access, so testing
-        # in_ra first changes no outcome; a four-step device only ever
-        # takes the in_ra, connected and new-access branches.
-        if ue.in_ra:
-            ue.queue.append(arrival)
-        elif (ue.twostep and ue.record is None) or arrival <= ue.connected_until:
-            # a two-step device without a context (observation phase, or
-            # classified and waiting for its context) is still on its
-            # initial connection
-            delivery = arrival + self.t_up + self.half
-            ue.cm.add_connected_sample(delivery - arrival)
-            ue.connected_until = delivery + self.t_inactive
-            if ue.est is not None and ue.est.phase == "initial":
-                self._observe(ue, delivery, slot)
-        else:
-            ue.in_ra = True
-            ue.attempt = 1
-            ue.trigger_arrival = arrival
-            tx_slot = slot + 1
-            if ue.twostep:
-                tx_slot = core.next_tx_slot(tx_slot, self.t_p, ue.t_ind)
-            # beyond the horizon the packet stays pending
-            if tx_slot < self.n_slots:
-                self.tx.setdefault(tx_slot, []).append(ue)
-        # next packet of this device's process
-        if ue.periodic:
-            ue.next_arrival_ms += ue.period_ms
-        else:
-            # Random.expovariate's own formula, without its call overhead
-            ue.next_arrival_ms += -math.log(1.0 - self._random()) / ue.rate_per_ms
-        slot = int(ue.next_arrival_ms / self.t_tti)
-        if slot < self.n_slots:
-            self.arrivals.setdefault(slot, []).append(ue)
+    def _handle_arrivals(self, due: list[_Ue], slot: int) -> None:
+        """Serve the packets arriving in ``slot``, in order, and queue each
+        device's next one; a next one in this slot joins ``due`` in turn."""
+        t_tti, n_slots, t_p = self.t_tti, self.n_slots, self.t_p
+        arrival = slot * t_tti + self.half
+        # deliveries over an established connection
+        delivery = arrival + self.t_up + self.half
+        connected = delivery - arrival
+        connected_until = delivery + self.t_inactive
+        arrivals, tx, mask, far = self.arrivals, self.tx, self.mask, self.far
+        horizon = min(slot + len(arrivals), n_slots)  # beyond it, `far`
+        random, log = self._random, math.log
+        for ue in due:
+            cm = ue.cm
+            cm.generated += 1
+            # A device without a context is never in random access, so testing
+            # in_ra first changes no outcome; a four-step device only ever
+            # takes the in_ra, connected and new-access branches.
+            if ue.in_ra:
+                ue.queue.append(arrival)
+            elif (ue.twostep and ue.record is None) or arrival <= ue.connected_until:
+                # a two-step device without a context (observation phase, or
+                # classified and waiting for its context) is still on its
+                # initial connection
+                cm.add_connected_sample(connected)
+                ue.connected_until = connected_until
+                if ue.est is not None and ue.est.phase == "initial":
+                    self._observe(ue, delivery, slot)
+            else:
+                ue.in_ra = True
+                ue.attempt = 1
+                ue.trigger_arrival = arrival
+                t = slot + 1
+                if ue.twostep:
+                    t = core.next_tx_slot(t, t_p, ue.t_ind)
+                # beyond the horizon the packet stays pending
+                if t < n_slots:
+                    i = t & mask
+                    queued = tx[i]
+                    if queued is None:
+                        tx[i] = [ue]
+                    else:
+                        queued.append(ue)
+            # next packet of this device's process
+            if ue.periodic:
+                ue.next_arrival_ms += ue.period_ms
+            else:
+                # Random.expovariate's own formula, without its call overhead
+                ue.next_arrival_ms += -log(1.0 - random()) / ue.rate_per_ms
+            t = int(ue.next_arrival_ms / t_tti)
+            if t < horizon:
+                i = t & mask
+                queued = arrivals[i]
+                if queued is None:
+                    arrivals[i] = [ue]
+                else:
+                    queued.append(ue)
+            elif t < n_slots:
+                far.setdefault(t, []).append(ue)
 
     def _observe(self, ue: _Ue, delivery: float, slot: int) -> None:
         """Record an initial-phase packet; classify once enough arrived."""
@@ -315,29 +365,13 @@ class _Engine:
             self._fail_packet(ue, known)
         else:
             ue.attempt += 1
-            slot = core.next_tx_slot(known, self.t_p, ue.t_ind)
-            if slot < self.n_slots:
-                self.tx.setdefault(slot, []).append(ue)
-
-    def _retry_fourstep(self, ue: _Ue, s: int, msg3_collision: bool) -> None:
-        known = s + (self.conres_known_slots if msg3_collision else self.rar_expiry_slots)
-        if ue.attempt >= self.max_attempts:
-            self._fail_packet(ue, known)
-        else:
-            ue.attempt += 1
-            # randint(0, backoff_slots_max)
-            n, k = self.backoff_n, self.backoff_bits
-            backoff = self._getrandbits(k)
-            while backoff >= n:
-                backoff = self._getrandbits(k)
-            slot = known + backoff
-            if slot < self.n_slots:
-                self.tx.setdefault(slot, []).append(ue)
+            self._push_tx(ue, core.next_tx_slot(known, self.t_p, ue.t_ind))
 
     def _handle_tx(self, txs: list[_Ue], s: int) -> None:
         two_groups: dict[int, list[_Ue]] = {}
-        # four-step preamble index within the pool -> (device, detected)
-        four_groups: dict[int, list[tuple[_Ue, bool]]] = {}
+        # four-step preamble index within the pool -> [detections,
+        # (device, detected), ...]
+        four_groups: dict[int, list] = {}
         perfect = self.perfect
         getrandbits, random = self._getrandbits, self._random
         n_cb, k = self.n_cb, self.cb_bits
@@ -351,25 +385,59 @@ class _Engine:
                 while preamble >= n_cb:
                     preamble = getrandbits(k)
                 detected = perfect or random() < detect_prob[ue.attempt]
-                four_groups.setdefault(preamble, []).append((ue, detected))
+                group = four_groups.get(preamble)
+                if group is None:
+                    four_groups[preamble] = [detected, (ue, detected)]
+                else:
+                    group[0] += detected
+                    group.append((ue, detected))
         if two_groups:
             self._resolve_twostep(two_groups, s, perfect)
         delivery = s * self.t_tti + self.four_delivery_ms
+        connected_until = delivery + self.t_inactive
+        miss_known = s + self.rar_expiry_slots
+        collision_known = s + self.conres_known_slots
+        max_attempts, n_slots, tx, mask = self.max_attempts, self.n_slots, self.tx, self.mask
+        backoff_n, backoff_bits = self.backoff_n, self.backoff_bits
         for group in four_groups.values():
+            entries = iter(group)
             # a lone preamble cannot collide, whatever its detection
-            collision = len(group) >= 2 and sum(det for _, det in group) >= 2
-            for ue, det in group:
+            collision = next(entries) >= 2
+            for ue, detected in entries:
                 cm = ue.cm
-                if not det:
+                if not detected:
                     cm.unnec_failed += 1
-                    self._retry_fourstep(ue, s, msg3_collision=False)
+                    known = miss_known
                 elif collision:
                     # preamble, response and resume request all wasted
                     cm.unnec_failed += 3
-                    self._retry_fourstep(ue, s, msg3_collision=True)
+                    known = collision_known
                 else:
                     cm.necessary += 4
-                    self._deliver_ra(ue, delivery)
+                    if ue.queue:  # packets that arrived during the access
+                        self._deliver_ra(ue, delivery)
+                        continue
+                    cm.add_ra_sample(delivery - ue.trigger_arrival)
+                    ue.in_ra = False
+                    ue.attempt = 0
+                    ue.connected_until = connected_until
+                    continue
+                if ue.attempt >= max_attempts:
+                    self._fail_packet(ue, known)
+                    continue
+                ue.attempt += 1
+                # randint(0, backoff_slots_max)
+                backoff = getrandbits(backoff_bits)
+                while backoff >= backoff_n:
+                    backoff = getrandbits(backoff_bits)
+                t = known + backoff
+                if t < n_slots:
+                    i = t & mask
+                    queued = tx[i]
+                    if queued is None:
+                        tx[i] = [ue]
+                    else:
+                        queued.append(ue)
 
     def _resolve_twostep(self, groups: dict[int, list[_Ue]], s: int, perfect: bool) -> None:
         t_rar = (s + 1) * self.t_tti
@@ -377,36 +445,28 @@ class _Engine:
         delivery = s * self.t_tti + self.two_delivery_ms
         reserved = self.reserved_pid
         gated = self.mode == "on"
+        cells, cell_cms, deliver = self.cells, self.cell_cms, self._deliver_ra
         for pid, ues in groups.items():
             if perfect:
                 detected = True
             else:
-                load = sum(ue.attempt for ue in ues)
-                detected = self.rng.random() < -math.expm1(-load)
+                load = 0
+                for ue in ues:
+                    load += ue.attempt
+                detected = self._random() < -math.expm1(-load)
             if not detected:
                 for ue in ues:
                     ue.cm.unnec_failed += 1
                     self._retry_twostep(ue, s)
                 continue
-            transmitting = {ue.uid for ue in ues}
-            granted: set[int] = set()
-            refresh = gated and pid == reserved
-            if refresh:
+            if pid == reserved and gated:
+                transmitting = {ue.uid for ue in ues}
+                granted: set[int] = set()
                 heap = self.pu_heaps[k]  # every device granted below is on it
                 self._grant_due_periodic(heap, t_rar, transmitting, granted)
-            elif pid == reserved:  # oracle mode; "off" registers none here
-                granted = transmitting  # exact schedule knowledge, no extras
-            else:
-                for member in self.cells.get((pid, k), ()):
-                    granted.add(member.uid)
-                    if member.uid not in transmitting:
-                        cm = member.cm
-                        cm.unnec_rar += 1
-                        cm.unnec_grant += 1
-            for ue in ues:
-                if ue.uid in granted:
-                    ue.cm.necessary += 2
-                    if refresh:
+                for ue in ues:
+                    if ue.uid in granted:
+                        ue.cm.necessary += 2
                         # anchor the next grant on the fitted time, not the
                         # raw one: a retry-delayed success shifts it by its
                         # leverage share only, so one late sample cannot
@@ -416,11 +476,27 @@ class _Engine:
                         record.t0_last = record.estimate.anchor_ms
                         ue.threshold = protocol.grant_threshold(record)
                         heapq.heappush(heap, (ue.threshold, ue.uid, ue))
-                    self._deliver_ra(ue, delivery)
-                else:
-                    # response withheld by the grant rule; looks like a miss
-                    ue.cm.unnec_failed += 1
-                    self._retry_twostep(ue, s)
+                        self._deliver_ra(ue, delivery)
+                    else:
+                        # response withheld by the grant rule; looks like a miss
+                        ue.cm.unnec_failed += 1
+                        self._retry_twostep(ue, s)
+                continue
+            if pid != reserved:
+                # Every member of event cell (pid, k) is granted, and every
+                # transmitter here is one: the others get a response and a
+                # grant for nothing.
+                extras = cells[(pid, k)][:]
+                for ue in ues:
+                    extras[ue.periodic] -= 1
+                for cm, n in zip(cell_cms, extras):
+                    cm.unnec_rar += n
+                    cm.unnec_grant += n
+            # else oracle mode ("off" registers none on the reserved pid):
+            # exact schedule knowledge grants the transmitters only
+            for ue in ues:
+                ue.cm.necessary += 2
+                deliver(ue, delivery)
 
     def _grant_due_periodic(
         self, heap: list, t_rar: float, transmitting: set[int], granted: set[int]
@@ -444,20 +520,26 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        admin, arrivals, tx = self.admin, self.arrivals, self.tx
-        handle_admin, handle_arrival = self._handle_admin, self._handle_arrival
+        admin, arrivals, tx, far, mask = self.admin, self.arrivals, self.tx, self.far, self.mask
+        handle_admin, handle_arrivals = self._handle_admin, self._handle_arrivals
         handle_tx = self._handle_tx
         for slot in range(self.n_slots):
             events = admin.pop(slot, None)
             if events is not None:
                 handle_admin(events)
-            due = arrivals.get(slot)
+            i = slot & mask
+            due = arrivals[i]
+            early = far.pop(slot, None)
+            if early is not None:  # queued before anything in the ring
+                if due is not None:
+                    early += due
+                arrivals[i] = due = early
             if due is not None:
-                for ue in due:  # same-slot re-arrivals append here, in turn
-                    handle_arrival(ue, slot)
-                del arrivals[slot]
-            txs = tx.pop(slot, None)
+                handle_arrivals(due, slot)
+                arrivals[i] = None
+            txs = tx[i]
             if txs is not None:
+                tx[i] = None
                 handle_tx(txs, slot)
         self._finish()
         return self.report

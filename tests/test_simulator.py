@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ralab import core, protocol
 from ralab.metrics import MetricsReport
 from ralab.scenario import Scenario, emit_scenario, parse_scenario, read_scenario
-from ralab.simulator import _Engine, run_scenario, run_seeds
+from ralab.simulator import RING_CAP, _Engine, run_scenario, run_seeds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -68,8 +68,6 @@ class TestRandomStream:
         "estimator_benefit": ("estimator_benefit.scn", dict(
             duration_ms=3_000.0,
         ), 9, "001c9d13339b12f4fdb469f0030f10b3717700387a9995f5545151340a6124a1"),
-        # the two-step resolve's other grant modes: exact schedule knowledge,
-        # and every device served as event traffic
         # the same run on the 0.25 ms and 1 ms slot grids
         "estimator_benefit_quarter_ms": ("estimator_benefit.scn", dict(
             duration_ms=3_000.0, t_tti_ms=0.25, t_p=2, r_threshold=9,
@@ -77,12 +75,39 @@ class TestRandomStream:
         "estimator_benefit_one_ms": ("estimator_benefit.scn", dict(
             duration_ms=3_000.0, t_tti_ms=1.0, t_p=1,
         ), 9, "fbba2e55d5b3fdc0b846b772efeab9ea98ed9e47e67fec297201baeba0581951"),
+        # the two-step resolve's other grant modes: exact schedule knowledge,
+        # and every device served as event traffic
         "smart_factory_oracle": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, estimator_mode="oracle",
         ), 1, "5ccc5d7b2f4accc5d659d9c3b3f1b5ff30f20c9d5be701e5b495f2feda3825fc"),
         "smart_factory_off": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, estimator_mode="off",
         ), 1, "1b34ef94be2ac48c705e96660100b8c4036e99432eac97e7d452ed8417939652"),
+        # four-step gaps of ~20 s on a 0.125 ms grid: many next arrivals lie
+        # beyond the slot ring and wait in its overflow table
+        "fourstep_far_arrivals": (None, dict(
+            duration_ms=10_000.0, t_tti_ms=0.125, n_cr=4, n_total=30,
+            fourstep_n_ue=200, fourstep_rate_per_s=0.05, max_attempts=3,
+        ), 3, "d16dadccb7734e261dafcc83a3121c39fc86af76ea8f2547a74cbe5a878851a8"),
+        # a backoff of up to 80 000 slots: the retry lookahead, not a fixed
+        # cap, sizes the ring
+        "fourstep_long_backoff": (None, dict(
+            duration_ms=12_000.0, t_tti_ms=0.125, n_cr=4, n_total=20,
+            fourstep_n_ue=60, fourstep_rate_per_s=2.0, backoff_avg_ms=5_000.0,
+            max_attempts=4,
+        ), 3, "b77fad40ae53c4a4c891a8fd418804f351049b662cd7411dc7b375166181d18f"),
+        # 0.9 packets per 1 ms slot and device: next arrivals often land in
+        # the slot being handled
+        "same_slot_arrivals": (None, dict(
+            duration_ms=2_000.0, t_tti_ms=1.0, t_p=1, n_cr=6, n_total=20,
+            estimator_mode="off", twostep_n_event=10,
+            twostep_event_rate_per_s=900.0, fourstep_n_ue=10,
+            fourstep_rate_per_s=900.0,
+        ), 3, "56f5c72e1471097c08e098cdd34b5872a9d6831bae8851e131c85fc0a34820f2"),
+        # the 24 000-device scenario of the paper
+        "full_scale": ("full_scale.scn", dict(
+            duration_ms=1_000.0,
+        ), 3, "d82b001c745bd3216cb64b1929b82fddc9c68cac5458e386ae70f166396560f2"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -92,6 +117,16 @@ class TestRandomStream:
         report = run_scenario(dataclasses.replace(base, **fields), seed)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+class TestEventTables:
+    def test_memory_does_not_grow_with_duration(self):
+        # built, not run: 10**8 slots of an empty cell
+        sc = Scenario(duration_ms=5e7, n_total=1, n_cf=0, n_cr=0)
+        assert sc.duration_slots == 10**8
+        eng = _Engine(sc, seed=1)
+        assert 0 < len(eng.arrivals) <= RING_CAP
+        assert 0 < len(eng.tx) <= RING_CAP
 
 
 class TestConservation:
@@ -312,7 +347,8 @@ def valid_scenarios(draw):
         seed=draw(st.integers(min_value=0, max_value=2**32)),
         t_tti_ms=draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])),
         t_p=t_p,
-        n_total=draw(st.integers(min_value=n_cf + n_cr + min(fourstep_n_ue, 1),
+        # the pool needs one preamble even when no device uses it
+        n_total=draw(st.integers(min_value=max(1, n_cf + n_cr + min(fourstep_n_ue, 1)),
                                  max_value=64)),
         n_cf=n_cf,
         n_cr=n_cr,
@@ -345,6 +381,8 @@ class TestAnyValidScenario:
     @example(sc=Scenario(duration_ms=250.0, seed=0, n_cr=2, estimator_mode="on",
                          t_initial_ms=50.0, r_threshold=2, twostep_n_periodic=1,
                          twostep_period_ms=47.0))
+    # No device at all: the smallest pool a scenario accepts.
+    @example(sc=Scenario(duration_ms=250.0, seed=0, n_total=1, n_cf=0, n_cr=0))
     @settings(max_examples=200, deadline=None)
     def test_round_trips_runs_conserves_and_repeats(self, sc):
         again = parse_scenario(emit_scenario(sc))
