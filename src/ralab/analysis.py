@@ -53,7 +53,7 @@ class FourStepParams:
     n_cb: int                    # preambles in the four-step pool
     max_attempts: int = 10
     t_tti_ms: float = 0.5
-    t_up_ms: float = 3.0
+    t_up_ms: float = core.UP_DATA_MS
     t_inactive_ms: float = 5.0
     rar_window_ms: float = 2.5
     backoff_avg_ms: float = 5.0
@@ -86,7 +86,7 @@ class TwoStepParams:
     n_cr: int = 4
     max_attempts: int = 10
     t_tti_ms: float = 0.5
-    t_up_ms: float = 3.0
+    t_up_ms: float = core.UP_DATA_MS
     t_inactive_ms: float = 5.0
     rar_window_ms: float = 2.5
     p2: float = 1.0
@@ -182,7 +182,7 @@ class StationarySolution:
     residual: float | None       # |fixed point residual|, four-step only
 
     def __post_init__(self) -> None:
-        total = self.pi_connected + self.pi_inactive + float(self.pi.sum())
+        total = self.total_probability
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError(f"stationary probabilities sum to {total}, not 1")
         values = np.concatenate(
@@ -197,13 +197,6 @@ class StationarySolution:
     @property
     def total_probability(self) -> float:
         return self.pi_connected + self.pi_inactive + float(self.pi.sum())
-
-
-def preamble_detection_prob(m: int) -> float:
-    """Detection probability of the m-th preamble of one device."""
-    if m < 1:
-        raise ValueError("attempt index m must be >= 1")
-    return 1.0 - math.exp(-float(m))
 
 
 def collision_probability(tau: float, n_ue: int, n_cb: int) -> float:
@@ -250,9 +243,10 @@ def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, flo
     return leave, -math.expm1(-lam * hold) / lam
 
 
-def _fourstep_chain(params: FourStepParams, rho_col: float):
+def _fourstep_chain(params: FourStepParams, rho_col: float, pm1: np.ndarray):
     """Chain quantities for a fixed collision probability.
 
+    ``pm1`` is the detection probability of each attempt's preamble.
     Returns (tau, components) where components hold everything needed to
     assemble a StationarySolution once the fixed point converged.
     """
@@ -261,9 +255,6 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     t_tti = params.t_tti_ms
     p2, p4 = params.p2, params.p4
     p3 = 1.0 - rho_col
-
-    m = np.arange(1, M + 1, dtype=np.float64)
-    pm1 = 1.0 - np.exp(-m)
 
     leave_conn, hold_conn = _connected_state(params)
 
@@ -282,10 +273,14 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
 
     hold_idle = t_tti
     w, bw, wres = params.rar_window_ms, params.backoff_avg_ms, params.conres_timer_ms
+    # steps 2-4 hold their messages' share of the latency budget
+    t2 = core.LATENCY_COMPONENTS_MS[2]
+    t3 = sum(core.LATENCY_COMPONENTS_MS[3:5])
+    t4 = sum(core.LATENCY_COMPONENTS_MS[5:8])
     h1 = t_tti * pm1 + (t_tti + w + bw) * (1 - pm1)
-    h2 = np.full(M, 1.5 * p2 + (w + bw) * (1 - p2))
-    h3 = np.full(M, 1.75 * p3 + (1.75 + wres + bw) * (1 - p3))
-    h4 = np.full(M, 4.5 * p4 + (wres + bw) * (1 - p4))
+    h2 = np.full(M, t2 * p2 + (w + bw) * (1 - p2))
+    h3 = np.full(M, t3 * p3 + (t3 + wres + bw) * (1 - p3))
+    h4 = np.full(M, t4 * p4 + (wres + bw) * (1 - p4))
     t_tot = (
         x_conn * hold_conn + hold_idle
         + (f * h1).sum() + (pi2 * h2).sum() + (pi3 * h3).sum() + (pi4 * h4).sum()
@@ -294,7 +289,7 @@ def _fourstep_chain(params: FourStepParams, rho_col: float):
     tau = float((f * pm1).sum() * t_tti / (total * t_tot))
     components = {
         "x_conn": x_conn, "total": total, "f": f,
-        "pi2": pi2, "pi3": pi3, "pi4": pi4, "pm1": pm1,
+        "pi2": pi2, "pi3": pi3, "pi4": pi4,
         "hold_conn": hold_conn, "hold_idle": hold_idle,
         "h": (h1, h2, h3, h4), "t_tot": t_tot,
         "p_steps": (p2, p3, p4),
@@ -311,10 +306,11 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
     least one TTI and the other states take time too, so a device makes
     fewer than one detected transmission per slot.
     """
+    detect = np.array([core.detection_prob(m) for m in range(1, params.max_attempts + 1)])
 
     def h(tau: float) -> float:
         rho = collision_probability(tau, params.n_ue, params.n_cb)
-        return _fourstep_chain(params, rho)[0] - tau
+        return _fourstep_chain(params, rho, detect)[0] - tau
 
     a, b = 0.0, 1.0
     ha, hb = h(a), h(b)
@@ -343,7 +339,7 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
         raise SolverError(f"fixed point residual {residual:.3e} >= {residual_tol:.1e}")
 
     rho = collision_probability(tau, params.n_ue, params.n_cb)
-    _, c = _fourstep_chain(params, rho)
+    _, c = _fourstep_chain(params, rho, detect)
     total = c["total"]
     pi = np.stack([c["f"], c["pi2"], c["pi3"], c["pi4"]], axis=1) / total
     holding = np.stack(c["h"], axis=1)
@@ -352,7 +348,7 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
         pi_connected=c["x_conn"] / total,
         pi_inactive=1.0 / total,
         pi=pi,
-        detect=c["pm1"],
+        detect=detect,
         p_steps=c["p_steps"],
         holding_connected=c["hold_conn"],
         holding_inactive=c["hold_idle"],
@@ -392,12 +388,12 @@ def twostep_detection_prob(params: TwoStepParams, p_prev=()) -> np.ndarray:
     """Detection probabilities of the m-th preamble, m = 1..M, under cell sharing.
 
     Devices in the same cell that transmit simultaneously add their attempt
-    indices to the detection exponent (the receiver sees the superposition),
-    so detection is better than the single-device ``1 - e^{-m}``: attempt m
-    is detected with ``1 - e^{-(m + S)}``, where the peers' share ``S`` sums
-    over their attempts j and is the same for every m. ``p_prev`` is the
-    current estimate of the per-attempt detection vector; missing entries
-    fall back to the single-device baseline.
+    indices to the detection load (the receiver sees the superposition), so
+    detection is better than the single-device ``core.detection_prob(m)``:
+    attempt m is detected with ``detection_prob(m + S)``, where the peers'
+    share ``S`` sums over their attempts j and is the same for every m.
+    ``p_prev`` is the current estimate of the per-attempt detection vector;
+    missing entries fall back to the single-device baseline.
     """
     M = params.max_attempts
     if len(p_prev) > M:
@@ -414,15 +410,15 @@ def twostep_detection_prob(params: TwoStepParams, p_prev=()) -> np.ndarray:
             elif j - 2 < len(p_prev):
                 prev = p_prev[j - 2]
             else:
-                prev = 1.0 - math.exp(-(j - 1.0))
+                prev = core.detection_prob(j - 1)
             q_j = min(max(per_slot * (1.0 - prev), 0.0), 1.0)
             shared += j * peers * q_j
-    return 1.0 - np.exp(-(np.arange(1, M + 1) + shared))
+    return np.array([core.detection_prob(m + shared) for m in range(1, M + 1)])
 
 
 def _twostep_detection_vector(params: TwoStepParams) -> np.ndarray:
     M = params.max_attempts
-    p = np.array([1.0 - math.exp(-m) for m in range(1, M + 1)])
+    p = np.array([core.detection_prob(m) for m in range(1, M + 1)])
     for _ in range(500):
         p_new = twostep_detection_prob(params, p)
         if np.max(np.abs(p_new - p)) < 1e-14:
@@ -453,7 +449,8 @@ def solve_twostep(params: TwoStepParams) -> StationarySolution:
     hold_idle = t_tti * stride
     w = params.rar_window_ms
     h1 = t_tti * pm1 + (t_tti + w) * (1 - pm1)
-    h2 = np.full(M, 2.75 * p2 + w * (1 - p2))
+    # the response step holds detection, response and device processing
+    h2 = np.full(M, sum(core.LATENCY_COMPONENTS_MS[2:4]) * p2 + w * (1 - p2))
     t_tot = (x_conn * hold_conn + hold_idle + (f * h1).sum() + (pi2 * h2).sum()) / total
     tau = float((f * pm1).sum() * t_tti / (total * t_tot))
 
@@ -575,8 +572,8 @@ def optimize_preamble_split(
             if p_fail >= p_fail_max:
                 feasible = False
         if feasible and n_event > 0:
-            sol2 = solve_twostep(replace(twostep, n_cr=n_cr))
-            load_ed = load_twostep(sol2, replace(twostep, n_cr=n_cr))
+            tp = replace(twostep, n_cr=n_cr)
+            load_ed = load_twostep(solve_twostep(tp), tp)
         objective = load_cb * n_fourstep + load_ed * n_event if feasible else math.inf
         points.append(
             SplitPoint(

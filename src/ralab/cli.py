@@ -60,26 +60,16 @@ def write_latency_ecdf(path: Path, report: metrics.MetricsReport) -> None:
 
 
 def write_load_csv(path: Path, report: metrics.MetricsReport) -> None:
-    lines = ["class,necessary,unnec_failed,unnec_rar,unnec_grant"]
+    lines = [",".join(("class",) + metrics.SIGNAL_COUNTERS)]
     for name in sorted(report.classes):
         cm = report.classes[name]
-        lines.append(
-            f"{name},{cm.necessary},{cm.unnec_failed},{cm.unnec_rar},{cm.unnec_grant}"
-        )
+        counts = [str(getattr(cm, n)) for n in metrics.SIGNAL_COUNTERS]
+        lines.append(",".join([name] + counts))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _class_summary(cm: metrics.ClassMetrics) -> dict:
-    out = {
-        "generated": cm.generated,
-        "delivered": cm.delivered,
-        "failed": cm.failed,
-        "pending": cm.pending,
-        "necessary": cm.necessary,
-        "unnec_failed": cm.unnec_failed,
-        "unnec_rar": cm.unnec_rar,
-        "unnec_grant": cm.unnec_grant,
-    }
+    out = {n: getattr(cm, n) for n in metrics.PACKET_COUNTERS + metrics.SIGNAL_COUNTERS}
     if cm.delivered or cm.failed:
         out["quantiles"] = metrics.quantile_summary(cm)
     return out
@@ -155,10 +145,8 @@ def _mode_simulate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
         q = metrics.satisfiable_latency(cm.all_latency(), 0.99999, cm.failed) \
             if (cm.delivered or cm.failed) else None
         q_text = fmt12(q.latency_ms) if q is not None else "n/a"
-        print(
-            f"{name}: generated={cm.generated} delivered={cm.delivered} "
-            f"failed={cm.failed} pending={cm.pending} q99.999={q_text}"
-        )
+        counts = " ".join(f"{n}={getattr(cm, n)}" for n in metrics.PACKET_COUNTERS)
+        print(f"{name}: {counts} q99.999={q_text}")
     return 0
 
 

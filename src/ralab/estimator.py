@@ -134,25 +134,16 @@ def preferred_offset(times, t_p: int, t_tti: float = core.DEFAULT_T_TTI_MS) -> i
     """Transmission-slot class that contains most of the observed times.
 
     Each time maps to its frame slot ``s = floor(time / t_tti) mod 10`` and
-    then to the slot class covering ``s``; the most frequent class wins,
-    smallest index on ties. Frame slot 0 is outside every class when
-    ``t_p = 3`` and counts toward class 1.
+    then to the slot class covering ``s`` (``core.SLOT_CLASS``); the most
+    frequent class wins, smallest index on ties. Frame slot 0 is outside
+    every class when ``t_p = 3`` and counts toward class 1.
     """
-    if t_p not in (1, 2, 3):
+    if t_p not in core.SLOT_CLASS:
         raise ValueError(f"t_p must be in {{1, 2, 3}}, got {t_p!r}")
-    if t_p == 1:
-        return 1
+    slot_class = core.SLOT_CLASS[t_p]
     tally = [0] * t_p
     for t in times:
-        s = int(t / t_tti) % core.FRAME_LEN
-        if t_p == 2:
-            k = s % 2 + 1
-        else:
-            k = s % 3
-            if k == 0:
-                k = 3
-            if s == 0:
-                k = 1
+        k = slot_class[int(t / t_tti) % core.FRAME_LEN] or 1
         tally[k - 1] += 1
     best = max(range(t_p), key=lambda i: (tally[i], -i))
     return best + 1

@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 
 QUANTILES = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 
+# The per-class counters of ClassMetrics: signals by outcome, then packets
+# by fate.  Every report lists them in these orders.
+SIGNAL_COUNTERS = ("necessary", "unnec_failed", "unnec_rar", "unnec_grant")
+PACKET_COUNTERS = ("generated", "delivered", "failed", "pending")
+
 
 class ConservationError(AssertionError):
     """Generated packets do not equal delivered + failed + pending."""
@@ -123,8 +128,7 @@ class ClassMetrics:
     def update(self, other: "ClassMetrics") -> None:
         self.ra_latency.update(other.ra_latency)
         self.connected_latency.update(other.connected_latency)
-        for name in ("necessary", "unnec_failed", "unnec_rar", "unnec_grant",
-                     "generated", "delivered", "failed", "pending"):
+        for name in SIGNAL_COUNTERS + PACKET_COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
@@ -178,14 +182,7 @@ class MetricsReport:
                     "connected_latency": {
                         str(v): c for v, c in sorted(cm.connected_latency.items())
                     },
-                    "necessary": cm.necessary,
-                    "unnec_failed": cm.unnec_failed,
-                    "unnec_rar": cm.unnec_rar,
-                    "unnec_grant": cm.unnec_grant,
-                    "generated": cm.generated,
-                    "delivered": cm.delivered,
-                    "failed": cm.failed,
-                    "pending": cm.pending,
+                    **{n: getattr(cm, n) for n in SIGNAL_COUNTERS + PACKET_COUNTERS},
                 }
                 for name, cm in sorted(self.classes.items())
             },
@@ -204,10 +201,7 @@ def load_accounting(report: MetricsReport) -> dict:
         n_ue = report.populations.get(name, 0)
         denom = n_ue * report.duration_ms
         out[name] = {
-            "necessary": cm.necessary,
-            "unnec_failed": cm.unnec_failed,
-            "unnec_rar": cm.unnec_rar,
-            "unnec_grant": cm.unnec_grant,
+            **{n: getattr(cm, n) for n in SIGNAL_COUNTERS},
             "unnecessary_total": cm.unnecessary_total,
             "signals_total": cm.signals_total,
             "signals_per_ue_per_ms": cm.signals_total / denom if denom else 0.0,

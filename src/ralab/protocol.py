@@ -133,14 +133,11 @@ def filter_candidates(registry: BsRegistry, pid: int, rx_slot: int) -> list[int]
     """Ids that could have sent ``pid`` in ``rx_slot`` (shortlist step).
 
     Matches on the preamble id and on the slot class: the id's offset index
-    must allow the frame slot of ``rx_slot``. An empty result is valid.
+    must be the class of the frame slot of ``rx_slot`` (``core.SLOT_CLASS``;
+    no cell has class 0). An empty result is valid.
     """
-    frame_slot = rx_slot % core.FRAME_LEN
-    out: list[int] = []
-    for t_ind in range(1, registry.t_p + 1):
-        if frame_slot in core.allowed_slots(registry.t_p, t_ind):
-            out.extend(registry.ids_for_cell(pid, t_ind))
-    return sorted(out)
+    t_ind = core.SLOT_CLASS[registry.t_p][rx_slot % core.FRAME_LEN]
+    return sorted(registry.ids_for_cell(pid, t_ind))
 
 
 def grant_threshold(record: UeRecord) -> float:

@@ -43,7 +43,7 @@ class Scenario:
     conres_timer_ms: float = 24.0
     t_inactive_ms: float = 5.0
     t_initial_ms: float = 5_000.0
-    t_up_ms: float = 3.0
+    t_up_ms: float = core.UP_DATA_MS
     r_threshold: int = 10
     var_threshold: float = 0.1
     twostep_n_periodic: int = 0

@@ -18,8 +18,9 @@ Conventions (times in ms, slots are ``t_tti`` wide):
 * a preamble sent in slot ``s`` is received at ``(s+1)*t_tti``, which is also
   the time the grant rule is evaluated at;
 * a successful two-step access delivers the uplink packet at
-  ``s*t_tti + total_twostep - t_tti/2`` (6.25 ms after the preamble slot
-  start under defaults), the four-step equivalent uses the four-step total;
+  ``s*t_tti + CP_TWOSTEP_MS + t_up - t_tti/2`` (6.25 ms after the preamble
+  slot start under defaults), the four-step equivalent uses
+  ``CP_FOURSTEP_MS`` (``core``'s latency budget);
 * deliveries over an already-established connection complete at
   ``A + t_up + t_tti/2``;
 * a device stays connected until ``t_inactive`` after its last delivery.
@@ -112,14 +113,15 @@ class _Engine:
         self.cb_bits = sc.n_cb.bit_length()
         self.backoff_n = self.backoff_slots_max + 1
         self.backoff_bits = self.backoff_n.bit_length()
-        # detection probability of one preamble, indexed by attempt number
-        self.detect_prob = [-math.expm1(-m) for m in range(sc.max_attempts + 1)]
+        # core.detection_prob indexed by load: one preamble's attempt number,
+        # or the summed attempts of a two-step group when they fit
+        self.detect_prob = [core.detection_prob(m) for m in range(sc.max_attempts + 1)]
         msg_exchange_ms = self.half + core.CP_TWOSTEP_MS  # preamble..msg3 sent
         self.conres_known_slots = math.ceil(
             (msg_exchange_ms + sc.conres_timer_ms) / self.t_tti
         )
-        self.two_delivery_ms = core.TOTAL_TWOSTEP_MS - self.half
-        self.four_delivery_ms = core.TOTAL_FOURSTEP_MS - self.half
+        self.two_delivery_ms = core.CP_TWOSTEP_MS + sc.t_up_ms - self.half
+        self.four_delivery_ms = core.CP_FOURSTEP_MS + sc.t_up_ms - self.half
         lookahead = (max(self.rar_expiry_slots, self.conres_known_slots)
                      + self.backoff_slots_max + core.FRAME_LEN)
         size = min(self.n_slots, max(lookahead + 1, RING_CAP))
@@ -134,11 +136,7 @@ class _Engine:
             ids_per_cell=sc.ids_per_cell,
         )
         self.reserved_pid = self.registry.reserved_pid
-        # class index of each frame slot (0 = no transmission class)
-        self.slot_class = [0] * core.FRAME_LEN
-        for k in range(1, sc.t_p + 1):
-            for fs in core.allowed_slots(sc.t_p, k):
-                self.slot_class[fs] = k
+        self.slot_class = core.SLOT_CLASS[sc.t_p]
         # (pid, t_ind) -> devices registered in that event (always-grant)
         # cell, counted per class as [event, periodic]
         self.cells: dict[tuple[int, int], list[int]] = {}
@@ -446,6 +444,7 @@ class _Engine:
         reserved = self.reserved_pid
         gated = self.mode == "on"
         cells, cell_cms, deliver = self.cells, self.cell_cms, self._deliver_ra
+        detect_prob = self.detect_prob
         for pid, ues in groups.items():
             if perfect:
                 detected = True
@@ -453,7 +452,8 @@ class _Engine:
                 load = 0
                 for ue in ues:
                     load += ue.attempt
-                detected = self._random() < -math.expm1(-load)
+                detected = self._random() < (detect_prob[load] if load < len(detect_prob)
+                                             else core.detection_prob(load))
             if not detected:
                 for ue in ues:
                     ue.cm.unnec_failed += 1

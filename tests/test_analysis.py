@@ -26,7 +26,6 @@ from ralab.analysis import (
     load_fourstep,
     load_twostep,
     optimize_preamble_split,
-    preamble_detection_prob,
     solve_fourstep,
     solve_twostep,
     twostep_detection_prob,
@@ -45,24 +44,6 @@ def twostep(n_event=300, n_cr=29, rate=RATE_6_8_PER_S, t_p=3, **kw):
     return TwoStepParams(
         n_ue=1000, n_event=n_event, rate_per_ms=rate, t_p=t_p, n_cr=n_cr, **kw
     )
-
-
-class TestPreambleDetectionProb:
-    def test_values(self):
-        assert preamble_detection_prob(1) == pytest.approx(0.632121, abs=5e-7)
-        assert preamble_detection_prob(2) == pytest.approx(0.864665, abs=5e-7)
-
-    def test_monotone_to_one(self):
-        # Strictly increasing until float64 saturates 1 - e^{-m} at 1.0
-        # (around m = 37), never decreasing after that.
-        values = [preamble_detection_prob(m) for m in range(1, 40)]
-        assert all(b > a for a, b in zip(values[:30], values[1:31]))
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_attempt(self):
-        with pytest.raises(ValueError):
-            preamble_detection_prob(0)
 
 
 class TestCollisionProbability:
@@ -191,8 +172,9 @@ class TestFourStepSolution:
 class TestFourStepFixedPoint:
     @staticmethod
     def rhs(params, tau, collision=collision_probability):
+        detect = [core.detection_prob(m) for m in range(1, params.max_attempts + 1)]
         return analysis._fourstep_chain(
-            params, collision(tau, params.n_ue, params.n_cb))[0]
+            params, collision(tau, params.n_ue, params.n_cb), np.array(detect))[0]
 
     @pytest.mark.parametrize("rate", [1e-9, 1e-12, 1e-13, 1e-15])
     def test_low_rate_fixed_point(self, rate):

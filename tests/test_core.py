@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,16 +83,44 @@ class TestMeanClassStrideSlots:
             core.mean_class_stride_slots(4)
 
 
+class TestDetectionProb:
+    def test_values(self):
+        assert core.detection_prob(1) == pytest.approx(0.632121, abs=5e-7)
+        assert core.detection_prob(2) == pytest.approx(0.864665, abs=5e-7)
+
+    def test_monotone_to_one(self):
+        # Strictly increasing until float64 saturates 1 - e^{-m} at 1.0
+        # (around m = 37), never decreasing after that.
+        values = [core.detection_prob(m) for m in range(1, 40)]
+        assert all(b > a for a, b in zip(values[:30], values[1:31]))
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_invalid_attempt(self):
+        # load 0 (no transmission) is never detected; a negative or NaN
+        # load has no meaning
+        assert core.detection_prob(0) == 0.0
+        for load in (-1, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                core.detection_prob(load)
+
+    def test_whole_loads_match_one_minus_exp(self):
+        # the simulator draws against this rule: at whole loads expm1 and
+        # 1 - exp give the same bits, so either form keeps the random stream
+        for m in range(80):
+            assert core.detection_prob(m) == 1.0 - math.exp(-m)
+
+
 class TestLatencyBudget:
     def test_fourstep_constants(self):
         assert core.CP_FOURSTEP_MS == 8.5
         assert core.UP_DATA_MS == 3.0
-        assert core.TOTAL_FOURSTEP_MS == 11.5
+        assert core.CP_FOURSTEP_MS + core.UP_DATA_MS == 11.5
 
     def test_twostep_constants(self):
         assert core.CP_TWOSTEP_MS == 3.5
         assert core.UP_DATA_MS == 3.0
-        assert core.TOTAL_TWOSTEP_MS == 6.5
+        assert core.CP_TWOSTEP_MS + core.UP_DATA_MS == 6.5
 
     def test_component_sums(self):
         assert sum(core.LATENCY_COMPONENTS_MS) == core.CP_FOURSTEP_MS

@@ -153,6 +153,21 @@ class TestLatencyFloors:
         four = report.classes["fourstep"].ra_latency
         assert four and min(four) >= 11.5
 
+    @pytest.mark.parametrize("t_up", [0.0, 1.5, 6.0])
+    def test_ra_floor_follows_t_up(self, t_up):
+        # criterion 1's single-device runs: every error-free access takes
+        # its procedure's fixed budget (3.5 or 8.5 ms) plus the uplink time
+        two = Scenario(duration_ms=10_000.0, t_p=1, estimator_mode="oracle",
+                       detection="perfect", twostep_n_periodic=1,
+                       twostep_period_ms=50.0, t_up_ms=t_up)
+        four = Scenario(duration_ms=10_000.0, estimator_mode="off",
+                        detection="perfect", fourstep_n_ue=1,
+                        fourstep_rate_per_s=0.5, t_up_ms=t_up)
+        two_ra = run_scenario(two, seed=3).classes["twostep_periodic"].ra_latency
+        four_ra = run_scenario(four, seed=3).classes["fourstep"].ra_latency
+        assert set(two_ra) == {3.5 + t_up}
+        assert set(four_ra) == {8.5 + t_up}
+
     def test_connected_floor(self):
         # established-connection deliveries take t_up + half a slot
         report = run_scenario(MIXED, seed=11)
@@ -204,6 +219,31 @@ class TestSlotDiscipline:
         report = run_scenario(sc, seed=9)
         assert attempts_seen and max(attempts_seen) == cap
         assert report.classes["fourstep"].failed > 0  # cap actually bites
+
+
+class TestShortlistMatchesEventCells:
+    """The engine grants event cells from per-class member counts, never
+    calling ``protocol.filter_candidates``; both must name the same
+    devices, so criterion 2's worked example speaks for the simulator."""
+
+    @pytest.mark.parametrize("mode,t_p", [("on", 3), ("on", 2), ("off", 3), ("off", 1)])
+    def test_cell_counts_equal_shortlist_classes(self, mode, t_p):
+        sc = Scenario(duration_ms=6_000.0, t_p=t_p, n_cr=5, estimator_mode=mode,
+                      detection="model", r_threshold=9, twostep_n_periodic=20,
+                      twostep_n_event=21)  # 21 cannot fill the cells evenly
+        eng = _Engine(sc, seed=7)
+        eng.run()
+        periodic = {ue.record.id: ue.periodic for ue in eng.ues if ue.record is not None}
+        assert eng.cells and all(key[0] != eng.reserved_pid for key in eng.cells)
+        for pid in eng.registry.event_pids():
+            for fs in range(core.FRAME_LEN):
+                k = core.SLOT_CLASS[t_p][fs]
+                shortlist = [0, 0]  # [event, periodic], as the engine counts
+                for id_ in protocol.filter_candidates(eng.registry, pid, 1230 + fs):
+                    shortlist[periodic[id_]] += 1
+                assert shortlist == eng.cells.get((pid, k), [0, 0]), (pid, fs)
+        # "off" registers every periodic device in an event cell as well
+        assert any(counts[mode == "off"] for counts in eng.cells.values())
 
 
 class TestWorkedExample:
