@@ -73,23 +73,6 @@ def detection_prob(load: float) -> float:
     return -math.expm1(-load)
 
 
-def allowed_slots(t_p: int, t_ind: int) -> frozenset[int]:
-    """Frame-slot numbers in which offset class ``t_ind`` may transmit.
-
-    Parameters
-    ----------
-    t_p : int
-        Schedule period in slots, one of {1, 2, 3}.
-    t_ind : int
-        Offset index, 1 <= t_ind <= t_p.
-    """
-    if t_p not in SLOT_CLASS:
-        raise ValueError(f"t_p must be in {{1, 2, 3}}, got {t_p!r}")
-    if not 1 <= t_ind <= t_p:
-        raise ValueError(f"t_ind must be in [1, {t_p}], got {t_ind!r}")
-    return frozenset(fs for fs, k in enumerate(SLOT_CLASS[t_p]) if k == t_ind)
-
-
 def mean_class_stride_slots(t_p: int) -> float:
     """Mean slot distance between consecutive allowed slots of one class.
 

@@ -7,14 +7,15 @@ first) the device is classified as ``periodic`` or ``event`` from the
 variance of its inter-reception times. Periodic devices additionally get a
 period/margin estimate via least squares, fitted once at classification,
 and a preferred transmission-slot class. After classification the
-estimate is refreshed from the preamble times of successful accesses: the
-regression sums of that window are kept as running sums, so the fit costs
-O(1).  The window's ticks are absolute period numbers and the sums count
-from ``EstimatorState.origin``, so a window slide is O(1) as well: it drops
-the oldest sample and rebases the four sums, and rewrites no list.  An
-access on a locked lattice (a zero-margin fit on the 0.125 ms grid) keeps
-the fit as it is, with no regression at all; any other access costs a
-refit from the sums plus one O(window) margin pass.
+estimate is refreshed from the preamble times of successful accesses.  An
+access on a locked lattice (a zero-margin fit on the 0.125 ms grid) is O(1):
+it appends the sample, keeps the fit and touches no regression sum.  Any
+other access refits from running sums of the window plus one O(window)
+margin pass; the first such access after a locked streak first rebuilds the
+sums from the window in one O(window) pass.  The window's ticks are absolute
+period numbers and the sums count from ``EstimatorState.origin``, so a
+window slide is O(1): it drops the oldest sample and moves the origin (and
+rebases the sums while they are kept), and rewrites no list.
 """
 
 from __future__ import annotations
@@ -55,11 +56,14 @@ class EstimatorState:
     ticks: list[int] = field(default_factory=list)  # period number per sample
     anchor_tick: int = 0              # period number of the current anchor
     origin: int = 0                   # period number the sums count ticks from
-    # running regression sums over the access window (ticks - origin, times)
+    # running regression sums over the access window (ticks - origin, times);
+    # locked updates leave them behind and set sums_stale, and the next
+    # unlocked update rebuilds them from the window before it refits
     sum_x: int = 0
     sum_xx: int = 0
     sum_y: float = 0.0
     sum_xy: float = 0.0
+    sums_stale: bool = False
 
     @property
     def r(self) -> int:
@@ -220,33 +224,53 @@ def classify_traffic_type(
     state.anchor_tick = state.origin = 0
     state.sum_x = state.sum_xx = 0
     state.sum_y = state.sum_xy = 0.0
+    state.sums_stale = False
     return est
+
+
+def _rebuild_sums(state: EstimatorState) -> None:
+    """Recompute the window's regression sums, counting ticks from ``origin``.
+
+    Window values are exact binary fractions, so these sums equal the ones
+    the incremental updates would have carried, bit for bit.
+    """
+    origin = state.origin
+    xs = [k - origin for k in state.ticks]
+    state.sum_x = sum(xs)
+    state.sum_xx = sum([x * x for x in xs])
+    state.sum_y = math.fsum(state.times)
+    state.sum_xy = math.fsum([x * y for x, y in zip(xs, state.times)])
+    state.sums_stale = False
 
 
 def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> EstimatorState:
     """Fold a successful two-step access into a periodic estimate.
 
     The sample is the preamble reception time; the sample window keeps the
-    most recent ``state.window`` values.  The regression sums over the
-    window are running sums: each sample is added once and subtracted once
-    when it leaves.  Ticks are stored as absolute period numbers, and the
-    sums count them from ``state.origin`` (0 until the window first slides,
-    then its first tick): a slide drops the oldest sample and rebases the
-    four sums onto the new first tick algebraically, which is O(1) and
-    rewrites no list.  Tick sums are integers and exact.  Preamble times are
-    whole slots, ``(s+1)·t_tti`` with ``t_tti`` a multiple of 0.125 ms
-    (which ``Scenario`` enforces), so every partial float sum is an exact
-    binary fraction as well and the fit equals ``linear_regression`` over
-    the same window bit for bit.
+    most recent ``state.window`` values.  Outside a locked streak the
+    regression sums over the window are running sums: each sample is added
+    once and subtracted once when it leaves.  Ticks are stored as absolute
+    period numbers, and the sums count them from ``state.origin`` (0 until
+    the window first slides, then its first tick): a slide drops the oldest
+    sample and rebases the four sums onto the new first tick algebraically,
+    which is O(1) and rewrites no list.  Tick sums are integers and exact.
+    Preamble times are whole slots, ``(s+1)·t_tti`` with ``t_tti`` a
+    multiple of 0.125 ms (which ``Scenario`` enforces), so every partial
+    float sum is an exact binary fraction as well: sums rebuilt from the
+    window equal the running ones, and the fit equals ``linear_regression``
+    over the same window, bit for bit.
 
-    Cost: O(1) with no regression on a locked lattice, otherwise a refit
-    from the sums plus one O(window) ``margin_value`` pass.  The lattice is
+    Cost: O(1) on a locked lattice, with no regression and no sum upkeep;
+    otherwise a refit from the sums plus one O(window) ``margin_value``
+    pass, and the first such update after a locked streak rebuilds the sums
+    from the window first, in one more O(window) pass.  The lattice is
     locked when the window holds its own fit, its margin is zero, intercept
     and slope are whole multiples of 0.125 ms and the sample lands exactly
     on the lattice point.  Every sample then lies on the fitted line, every
     residual is computed exactly, and least squares over the new window
     returns that line on the rebased ticks with a zero margin: the update
-    only moves the intercept by the rebase and the anchor onto the sample.
+    only moves the intercept by the rebase and the anchor onto the sample,
+    and marks the sums stale (``state.sums_stale``) instead of keeping them.
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -271,7 +295,6 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         raise ValueError("attempt tracking applies to periodic devices only")
     times, ticks = state.times, state.ticks
     period = est.period_ms
-    locked = False
     if (times or est.anchor_ms) and period > 0:
         elapsed = round((preamble_time - est.anchor_ms) / period)
         if elapsed < 0:
@@ -283,11 +306,24 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
             state.anchor_tick += elapsed
             return state
         tick = state.anchor_tick + elapsed
-        locked = (preamble_time == lattice and margin == 0.0 and len(times) >= 2
-                  and period % core.TTI_GRID_MS == 0
-                  and est.intercept_ms % core.TTI_GRID_MS == 0)
+        if (preamble_time == lattice and margin == 0.0 and len(times) >= 2
+                and period % core.TTI_GRID_MS == 0
+                and est.intercept_ms % core.TTI_GRID_MS == 0):
+            times.append(preamble_time)
+            ticks.append(tick)
+            if 0 < state.window < len(times):  # slide: the line moves with origin
+                times.pop(0)
+                ticks.pop(0)
+                est.intercept_ms += (ticks[0] - state.origin) * period
+                state.origin = ticks[0]
+            state.anchor_tick = tick
+            est.anchor_ms = preamble_time
+            state.sums_stale = True
+            return state
     else:
         tick = state.anchor_tick + 1 if times else 0
+    if state.sums_stale:
+        _rebuild_sums(state)
     times.append(preamble_time)
     ticks.append(tick)
     origin = state.origin
@@ -297,7 +333,6 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     sy = state.sum_y + preamble_time
     sxy = state.sum_xy + x * preamble_time
     r = len(times)
-    base = 0
     if 0 < state.window < r:  # one sample entered, so one leaves
         x, y = ticks.pop(0) - origin, times.pop(0)
         sx -= x
@@ -314,10 +349,7 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         origin = state.origin = ticks[0]
     state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
     state.anchor_tick = tick
-    if locked:
-        est.intercept_ms += base * period
-        est.anchor_ms = preamble_time
-    elif r >= 2:
+    if r >= 2:
         intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
         est.margin_ms = margin_value(times, intercept, slope, [k - origin for k in ticks])
         est.intercept_ms, est.period_ms = intercept, slope

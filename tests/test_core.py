@@ -7,39 +7,46 @@ from hypothesis import strategies as st
 from ralab import core
 
 
-class TestAllowedSlots:
+def class_slots(t_p, t_ind):
+    """Frame slots in which offset class ``t_ind`` may transmit, read off the table."""
+    return {fs for fs, k in enumerate(core.SLOT_CLASS[t_p]) if k == t_ind}
+
+
+class TestSlotClass:
     def test_period_three_first_class(self):
-        assert core.allowed_slots(3, 1) == {1, 4, 7}
+        assert class_slots(3, 1) == {1, 4, 7}
 
     def test_period_three_rows(self):
-        rows = tuple(core.allowed_slots(3, k) for k in (1, 2, 3))
+        rows = tuple(class_slots(3, k) for k in (1, 2, 3))
         assert rows == ({1, 4, 7}, {2, 5, 8}, {3, 6, 9})
 
     def test_period_one_covers_frame(self):
-        assert core.allowed_slots(1, 1) == set(range(10))
+        assert class_slots(1, 1) == set(range(10))
 
     def test_period_two_second_class(self):
-        assert core.allowed_slots(2, 2) == {1, 3, 5, 7, 9}
+        assert class_slots(2, 2) == {1, 3, 5, 7, 9}
 
     @pytest.mark.parametrize("t_p,t_ind", [(0, 1), (4, 1), (3, 0), (3, 4), (2, 3)])
     def test_out_of_range_rejected(self, t_p, t_ind):
+        # no such period has a row, and no such class owns a slot (0 marks none)
+        assert t_p not in core.SLOT_CLASS or t_ind not in set(core.SLOT_CLASS[t_p]) - {0}
         with pytest.raises(ValueError):
-            core.allowed_slots(t_p, t_ind)
+            core.next_tx_slot(0, t_p, t_ind)
 
     def test_union_coverage(self):
         for t_p in (1, 2):
             union = set()
             for t_ind in range(1, t_p + 1):
-                union |= core.allowed_slots(t_p, t_ind)
+                union |= class_slots(t_p, t_ind)
             assert union == set(range(10))
         union3 = set()
         for t_ind in (1, 2, 3):
-            union3 |= core.allowed_slots(3, t_ind)
+            union3 |= class_slots(3, t_ind)
         assert union3 == set(range(1, 10))
 
     def test_classes_disjoint_within_period(self):
         for t_p in (1, 2, 3):
-            sets = [core.allowed_slots(t_p, k) for k in range(1, t_p + 1)]
+            sets = [class_slots(t_p, k) for k in range(1, t_p + 1)]
             for i in range(len(sets)):
                 for j in range(i + 1, len(sets)):
                     assert not (sets[i] & sets[j])
@@ -64,7 +71,7 @@ class TestNextTxSlot:
         t_ind = data.draw(st.integers(min_value=1, max_value=t_p))
         s = core.next_tx_slot(gen, t_p, t_ind)
         assert gen <= s <= gen + core.FRAME_LEN
-        assert s % core.FRAME_LEN in core.allowed_slots(t_p, t_ind)
+        assert core.SLOT_CLASS[t_p][s % core.FRAME_LEN] == t_ind
         assert core.next_tx_slot(s, t_p, t_ind) == s  # idempotent
 
     def test_negative_slot_rejected(self):

@@ -134,8 +134,8 @@ class TestPreferredOffset:
         from ralab import core
 
         for t_p in (2, 3):
-            for t_ind in range(1, t_p + 1):
-                for s in core.allowed_slots(t_p, t_ind):
+            for s, t_ind in enumerate(core.SLOT_CLASS[t_p]):
+                if t_ind:
                     assert preferred_offset([0.5 * s], t_p) == t_ind
 
     def test_minimizes_waiting_for_aligned_periodic_input(self):
@@ -308,11 +308,13 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
     ``steps`` holds (periods skipped, jitter in slots, late) triples; a late
     access comes ``late_slots`` after its schedule, as a retry would.  The
     first initial-phase sample sits at slot ``start``.  Preamble times are
-    whole slots, ``(s + 1) * t_tti``.  After every access the running-sum
-    fit must equal a full refit of the same window, bit for bit.  Returns
-    how many slides, skipped periods and rejections happened, how many
-    refits ran the margin pass and how many skipped it, and how many
-    refits fitted a slope off the 0.125 ms grid.
+    whole slots, ``(s + 1) * t_tti``.  After every access the fit must
+    equal a full refit of the same window, bit for bit, and so must the
+    regression sums whenever they are current; they are rebuilt only when
+    an update leaves a locked streak, and then once.  Returns how many
+    slides, skipped periods and rejections happened, how many refits ran
+    the margin pass and how many skipped it, how many refits fitted a slope
+    off the 0.125 ms grid, and how many sum rebuilds ran.
     """
     state = EstimatorState()
     for i in range(window):
@@ -322,15 +324,20 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
     classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3, t_tti=t_tti)
     assert state.estimate.kind == "periodic"
     seen = {"slides": 0, "skips": 0, "rejections": 0,
-            "margin_passes": 0, "shortcuts": 0, "off_grid": 0}
+            "margin_passes": 0, "shortcuts": 0, "off_grid": 0, "rebuilds": 0}
     n = window - 1  # the anchor: the last initial sample
     for skipped, jitter, late in steps:
         n += 1 + skipped
         s = start + n * period_slots + jitter + (late_slots if late else 0)
         t = (s + 1) * t_tti
         full = len(state.times) == window
-        with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
+        stale = state.sums_stale
+        with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin, \
+                mock.patch.object(estimator, "_rebuild_sums",
+                                  wraps=estimator._rebuild_sums) as rebuild:
             observe_twostep_attempt(state, t)
+        assert rebuild.call_count == (stale and not state.sums_stale)
+        seen["rebuilds"] += rebuild.call_count
         if not state.times or state.times[-1] != t:
             seen["rejections"] += 1
         else:
@@ -344,10 +351,11 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
             seen["skips"] += 1
         # ticks are absolute period numbers; the sums count them from origin
         xs = [k - state.origin for k in state.ticks]
-        assert state.sum_x == sum(xs)
-        assert state.sum_xx == sum(x * x for x in xs)
-        assert state.sum_y == math.fsum(state.times)
-        assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
+        if not state.sums_stale:  # a locked update leaves the sums behind
+            assert state.sum_x == sum(xs)
+            assert state.sum_xx == sum(x * x for x in xs)
+            assert state.sum_y == math.fsum(state.times)
+            assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
         if len(state.times) >= 2:
             intercept, slope = linear_regression(state.times, xs)
             est = state.estimate
@@ -372,6 +380,8 @@ class TestRunningSumRefit:
         assert seen["skips"] > 0 and seen["slides"] > 0, seen
         assert seen["margin_passes"] == 1, seen
         assert seen["shortcuts"] == len(steps) - 2, seen
+        # and, once locked, no update pays for the regression sums
+        assert seen["rebuilds"] == 0, seen
 
     def test_off_grid_slope_runs_the_margin_pass(self):
         # one sample half a slot late bends four-sample fits off the grid;
@@ -399,26 +409,33 @@ class TestRunningSumRefit:
         n = window - 1
 
         def access(skipped, jitter=0):
-            # the refit's calls: (regression_from_sums, margin_value)
+            # the update's calls: (regression_from_sums, margin_value, _rebuild_sums)
             nonlocal n
             n += 1 + skipped
             t = (start + n * period_slots + jitter + 1) * t_tti
             with mock.patch.object(estimator, "regression_from_sums",
                                    wraps=estimator.regression_from_sums) as fit, \
                     mock.patch.object(estimator, "margin_value",
-                                      wraps=margin_value) as margin:
+                                      wraps=margin_value) as margin, \
+                    mock.patch.object(estimator, "_rebuild_sums",
+                                      wraps=estimator._rebuild_sums) as rebuild:
                 observe_twostep_attempt(state, t)
             assert state.times[-1] == t  # accepted
-            return fit.call_count, margin.call_count
+            return fit.call_count, margin.call_count, rebuild.call_count
 
-        assert [access(0), access(0)] == [(0, 0), (1, 1)]  # first fitted window
+        assert [access(0), access(0)] == [(0, 0, 0), (1, 1, 0)]  # first fitted window
         steps = [0, 2, 0, 1, 3, 0, 0] * 2
-        assert [access(skipped) for skipped in steps] == [(0, 0)] * len(steps)
+        assert [access(skipped) for skipped in steps] == [(0, 0, 0)] * len(steps)
+        assert state.sums_stale
         # the window slid and spans skipped periods
         assert state.origin > window and state.ticks[-1] - state.ticks[0] >= len(state.ticks)
-        # one slot of jitter leaves the locked path and refits exactly
-        assert access(0, jitter=1) == (1, 1)
+        # one slot of jitter leaves the locked path: one rebuild, then an exact refit
+        assert access(0, jitter=1) == (1, 1, 1)
+        assert not state.sums_stale
         xs = [k - state.origin for k in state.ticks]
+        assert (state.sum_x, state.sum_xx) == (sum(xs), sum(x * x for x in xs))
+        assert state.sum_y == math.fsum(state.times)
+        assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
         intercept, slope = linear_regression(state.times, xs)
         est = state.estimate
         assert (est.intercept_ms, est.period_ms) == (intercept, slope)

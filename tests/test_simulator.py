@@ -197,7 +197,7 @@ class TestSlotDiscipline:
         assert seen
         per_slot = set()
         for uid, t_ind, s in seen:
-            assert s % core.FRAME_LEN in core.allowed_slots(3, t_ind)
+            assert core.SLOT_CLASS[3][s % core.FRAME_LEN] == t_ind
             assert (uid, s) not in per_slot, "device sent twice in one slot"
             per_slot.add((uid, s))
 
