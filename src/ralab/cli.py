@@ -104,6 +104,16 @@ def simulation_summary(report: metrics.MetricsReport, per_seed=()) -> dict:
     return summary
 
 
+def write_run_report(out: Path, head: dict, pooled: metrics.MetricsReport,
+                     per_seed=()) -> None:
+    """Write ``latency_ecdf.csv``, ``load.csv`` and ``summary.json`` (the
+    entries of ``head``, then :func:`simulation_summary`) into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_latency_ecdf(out / "latency_ecdf.csv", pooled)
+    write_load_csv(out / "load.csv", pooled)
+    write_json(out / "summary.json", {**head, **simulation_summary(pooled, per_seed)})
+
+
 def analysis_summary(sc: Scenario) -> dict:
     out: dict = {}
     fp = fourstep_params(sc)
@@ -131,13 +141,9 @@ def analysis_summary(sc: Scenario) -> dict:
 
 def _mode_simulate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
     pooled, per_seed = simulator.run_seeds(sc, seeds)
-    summary = {"mode": "simulate", "scenario": _scenario_dict(sc)}
-    summary.update(simulation_summary(pooled, per_seed))
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_latency_ecdf(out / "latency_ecdf.csv", pooled)
-        write_load_csv(out / "load.csv", pooled)
-        write_json(out / "summary.json", summary)
+        write_run_report(out, {"mode": "simulate", "scenario": _scenario_dict(sc)},
+                         pooled, per_seed)
     for name in sorted(pooled.classes):
         cm = pooled.classes[name]
         if cm.generated == 0:
@@ -247,13 +253,9 @@ def _mode_validate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
             f"predicted={fmt12(predicted)} rel_err={fmt12(rel)}"
         )
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_latency_ecdf(out / "latency_ecdf.csv", pooled)
-        write_load_csv(out / "load.csv", pooled)
-        summary = {"mode": "validate", "scenario": _scenario_dict(sc),
-                   "tolerance": VALIDATE_TOLERANCE, "checks": results}
-        summary.update(simulation_summary(pooled, per_seed))
-        write_json(out / "summary.json", summary)
+        write_run_report(out, {"mode": "validate", "scenario": _scenario_dict(sc),
+                               "tolerance": VALIDATE_TOLERANCE, "checks": results},
+                         pooled, per_seed)
     return 0 if all_ok else 2
 
 

@@ -7,20 +7,20 @@ first) the device is classified as ``periodic`` or ``event`` from the
 variance of its inter-reception times. Periodic devices additionally get a
 period/margin estimate via least squares, fitted once at classification,
 and a preferred transmission-slot class. After classification the
-estimate is refreshed from the preamble times of successful accesses.  An
-access on a locked lattice (a zero-margin fit on the 0.125 ms grid) is O(1):
-it appends the sample, keeps the fit and touches no regression sum.  Any
-other access refits from running sums of the window plus one O(window)
-margin pass; the first such access after a locked streak first rebuilds the
-sums from the window in one O(window) pass.  The window's ticks are absolute
-period numbers and the sums count from ``EstimatorState.origin``, so a
-window slide is O(1): it drops the oldest sample and moves the origin (and
-rebases the sums while they are kept), and rewrites no list.
+estimate is refreshed from the preamble times of successful accesses.  Each
+access appends its sample and slides the window when it is full: the
+window's ticks are absolute period numbers and positions count from
+``EstimatorState.origin``, so a slide drops the oldest sample, moves the
+origin and rebases the intercept, and rewrites no list.  An access on a
+locked lattice (a zero-margin fit on the 0.125 ms grid) then only moves the
+anchor, which is O(1); any other access refits the window with
+:func:`linear_regression` and runs one O(window) margin pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import core
@@ -55,15 +55,10 @@ class EstimatorState:
     guard_ms: float = 0.0             # schedule-quantization width of the gate
     ticks: list[int] = field(default_factory=list)  # period number per sample
     anchor_tick: int = 0              # period number of the current anchor
-    origin: int = 0                   # period number the sums count ticks from
-    # running regression sums over the access window (ticks - origin, times);
-    # locked updates leave them behind and set sums_stale, and the next
-    # unlocked update rebuilds them from the window before it refits
-    sum_x: int = 0
-    sum_xx: int = 0
-    sum_y: float = 0.0
-    sum_xy: float = 0.0
-    sums_stale: bool = False
+    # period number the fit's positions count from, the window's first tick
+    # once it slides: the intercept is the fitted time at this tick, and
+    # small positions keep a rebased intercept bit-identical to a refit
+    origin: int = 0
 
     @property
     def r(self) -> int:
@@ -85,26 +80,13 @@ def linear_regression(times, xs=None) -> tuple[float, float]:
         xs = range(r)
     elif len(xs) != r:
         raise ValueError("xs must match times in length")
-    return regression_from_sums(
-        r,
-        math.fsum(xs),
-        math.fsum(x * x for x in xs),
-        math.fsum(times),
-        math.fsum(x * t for x, t in zip(xs, times)),
-    )
-
-
-def regression_from_sums(r: int, sx, sxx, sy, sxy) -> tuple[float, float]:
-    """``(intercept, slope)`` of the least-squares line through ``r`` samples.
-
-    Takes the sums over the samples of x, x², y and x·y; this is the
-    arithmetic ``linear_regression`` applies to its ``fsum``s and the
-    access-window refit to its running sums.
-    """
-    denom = r * sxx - sx * sx
+    # map, not generators: this runs on every unlocked access update
+    sx = math.fsum(xs)
+    denom = r * math.fsum(map(operator.mul, xs, xs)) - sx * sx
     if denom == 0:
         raise ValueError("sample positions must not all coincide")
-    slope = (r * sxy - sx * sy) / denom
+    sy = math.fsum(times)
+    slope = (r * math.fsum(map(operator.mul, xs, times)) - sx * sy) / denom
     intercept = (sy - slope * sx) / r
     return intercept, slope
 
@@ -222,55 +204,31 @@ def classify_traffic_type(
     state.times = []
     state.ticks = []
     state.anchor_tick = state.origin = 0
-    state.sum_x = state.sum_xx = 0
-    state.sum_y = state.sum_xy = 0.0
-    state.sums_stale = False
     return est
-
-
-def _rebuild_sums(state: EstimatorState) -> None:
-    """Recompute the window's regression sums, counting ticks from ``origin``.
-
-    Window values are exact binary fractions, so these sums equal the ones
-    the incremental updates would have carried, bit for bit.
-    """
-    origin = state.origin
-    xs = [k - origin for k in state.ticks]
-    state.sum_x = sum(xs)
-    state.sum_xx = sum([x * x for x in xs])
-    state.sum_y = math.fsum(state.times)
-    state.sum_xy = math.fsum([x * y for x, y in zip(xs, state.times)])
-    state.sums_stale = False
 
 
 def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> EstimatorState:
     """Fold a successful two-step access into a periodic estimate.
 
     The sample is the preamble reception time; the sample window keeps the
-    most recent ``state.window`` values.  Outside a locked streak the
-    regression sums over the window are running sums: each sample is added
-    once and subtracted once when it leaves.  Ticks are stored as absolute
-    period numbers, and the sums count them from ``state.origin`` (0 until
-    the window first slides, then its first tick): a slide drops the oldest
-    sample and rebases the four sums onto the new first tick algebraically,
-    which is O(1) and rewrites no list.  Tick sums are integers and exact.
-    Preamble times are whole slots, ``(s+1)·t_tti`` with ``t_tti`` a
-    multiple of 0.125 ms (which ``Scenario`` enforces), so every partial
-    float sum is an exact binary fraction as well: sums rebuilt from the
-    window equal the running ones, and the fit equals ``linear_regression``
-    over the same window, bit for bit.
+    most recent ``state.window`` values.  Ticks are stored as absolute
+    period numbers and the fit's positions count from ``state.origin`` (0
+    until the window first slides, then its first tick): a slide drops the
+    oldest sample, moves the origin and rebases the intercept onto it,
+    which is O(1) and rewrites no list.  Preamble times are whole slots,
+    ``(s+1)·t_tti`` with ``t_tti`` a multiple of 0.125 ms (which
+    ``Scenario`` enforces), so every window value is an exact binary
+    fraction.
 
-    Cost: O(1) on a locked lattice, with no regression and no sum upkeep;
-    otherwise a refit from the sums plus one O(window) ``margin_value``
-    pass, and the first such update after a locked streak rebuilds the sums
-    from the window first, in one more O(window) pass.  The lattice is
-    locked when the window holds its own fit, its margin is zero, intercept
-    and slope are whole multiples of 0.125 ms and the sample lands exactly
-    on the lattice point.  Every sample then lies on the fitted line, every
-    residual is computed exactly, and least squares over the new window
-    returns that line on the rebased ticks with a zero margin: the update
-    only moves the intercept by the rebase and the anchor onto the sample,
-    and marks the sums stale (``state.sums_stale``) instead of keeping them.
+    Cost: O(1) on a locked lattice, with no regression; otherwise one
+    O(window) ``linear_regression`` refit of the window plus one O(window)
+    ``margin_value`` pass.  The lattice is locked when the window holds its
+    own fit, its margin is zero, intercept and slope are whole multiples of
+    0.125 ms and the sample lands exactly on the lattice point.  Every
+    sample then lies on the fitted line, every residual is computed
+    exactly, and least squares over the new window returns that line on the
+    rebased ticks with a zero margin, bit for bit: the update only moves
+    the intercept by the rebase and the anchor onto the sample.
 
     Samples pass a validation gate first: a success more than
     ``max(margin, guard)`` away from the nearest point of the fitted
@@ -306,56 +264,30 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
             state.anchor_tick += elapsed
             return state
         tick = state.anchor_tick + elapsed
-        if (preamble_time == lattice and margin == 0.0 and len(times) >= 2
-                and period % core.TTI_GRID_MS == 0
-                and est.intercept_ms % core.TTI_GRID_MS == 0):
-            times.append(preamble_time)
-            ticks.append(tick)
-            if 0 < state.window < len(times):  # slide: the line moves with origin
-                times.pop(0)
-                ticks.pop(0)
-                est.intercept_ms += (ticks[0] - state.origin) * period
-                state.origin = ticks[0]
-            state.anchor_tick = tick
-            est.anchor_ms = preamble_time
-            state.sums_stale = True
-            return state
+        locked = (preamble_time == lattice and margin == 0.0 and len(times) >= 2
+                  and period % core.TTI_GRID_MS == 0
+                  and est.intercept_ms % core.TTI_GRID_MS == 0)
     else:
         tick = state.anchor_tick + 1 if times else 0
-    if state.sums_stale:
-        _rebuild_sums(state)
+        locked = False
     times.append(preamble_time)
     ticks.append(tick)
-    origin = state.origin
-    x = tick - origin
-    sx = state.sum_x + x
-    sxx = state.sum_xx + x * x
-    sy = state.sum_y + preamble_time
-    sxy = state.sum_xy + x * preamble_time
-    r = len(times)
-    if 0 < state.window < r:  # one sample entered, so one leaves
-        x, y = ticks.pop(0) - origin, times.pop(0)
-        sx -= x
-        sxx -= x * x
-        sy -= y
-        sxy -= x * y
-        r -= 1
-        # count the sums from the new first tick: every x becomes x - base;
-        # the x² line needs the old sum of x, so that sum moves last
-        base = ticks[0] - origin
-        sxy -= base * sy
-        sxx -= base * (2 * sx - r * base)
-        sx -= r * base
-        origin = state.origin = ticks[0]
-    state.sum_x, state.sum_xx, state.sum_y, state.sum_xy = sx, sxx, sy, sxy
+    if 0 < state.window < len(times):  # slide: the line moves with origin
+        times.pop(0)
+        ticks.pop(0)
+        est.intercept_ms += (ticks[0] - state.origin) * period
+        state.origin = ticks[0]
     state.anchor_tick = tick
-    if r >= 2:
-        intercept, slope = regression_from_sums(r, sx, sxx, sy, sxy)
-        est.margin_ms = margin_value(times, intercept, slope, [k - origin for k in ticks])
-        est.intercept_ms, est.period_ms = intercept, slope
-        est.anchor_ms = intercept + (tick - origin) * slope
-    else:
-        # a single access sample cannot support a regression: anchor on it
-        # directly and keep the classification-time period and margin
+    if locked or len(times) < 2:
+        # a locked line already fits the new window; a single access sample
+        # cannot support a regression, so the classification-time period
+        # and margin stay.  Either way the anchor is the sample itself.
         est.anchor_ms = preamble_time
+    else:
+        origin = state.origin
+        xs = [k - origin for k in ticks]
+        intercept, slope = linear_regression(times, xs)
+        est.margin_ms = margin_value(times, intercept, slope, xs)
+        est.intercept_ms, est.period_ms = intercept, slope
+        est.anchor_ms = intercept + xs[-1] * slope
     return state

@@ -48,18 +48,16 @@ class _Ue:
     """Mutable per-device state; one instance per simulated device."""
 
     __slots__ = (
-        "uid", "true_kind", "periodic", "procedure", "twostep", "cm",
+        "uid", "true_kind", "periodic", "twostep", "cm",
         "period_ms", "rate_per_ms", "next_arrival_ms",
         "est", "record", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
-        "threshold",
     )
 
     def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
         self.uid = uid
         self.true_kind = true_kind
         self.periodic = true_kind == "periodic"
-        self.procedure = procedure
         self.twostep = procedure == "twostep"
         self.cm = cm  # the report's counters for this device's class
         self.period_ms = 0.0
@@ -74,7 +72,6 @@ class _Ue:
         self.attempt = 0
         self.trigger_arrival = 0.0
         self.queue: list[float] = []
-        self.threshold = -math.inf
 
 
 class _Engine:
@@ -224,8 +221,8 @@ class _Engine:
         ue.pid = record.pid
         ue.t_ind = record.t_ind
         if est.kind == "periodic" and self.mode == "on":
-            ue.threshold = protocol.grant_threshold(record)
-            heapq.heappush(self.pu_heaps[ue.t_ind], (ue.threshold, ue.uid, ue))
+            heapq.heappush(self.pu_heaps[ue.t_ind],
+                           (protocol.grant_threshold(record), ue.uid, ue))
         elif est.kind != "periodic":
             self.cells.setdefault((ue.pid, ue.t_ind), [0, 0])[ue.periodic] += 1
         # oracle-mode periodic devices need no lookup structure: the grant
@@ -474,8 +471,7 @@ class _Engine:
                         estimator.observe_twostep_attempt(ue.est, t_rar)
                         record = ue.record
                         record.t0_last = record.estimate.anchor_ms
-                        ue.threshold = protocol.grant_threshold(record)
-                        heapq.heappush(heap, (ue.threshold, ue.uid, ue))
+                        heapq.heappush(heap, (protocol.grant_threshold(record), ue.uid, ue))
                         self._deliver_ra(ue, delivery)
                     else:
                         # response withheld by the grant rule; looks like a miss
@@ -501,19 +497,22 @@ class _Engine:
     def _grant_due_periodic(
         self, heap: list, t_rar: float, transmitting: set[int], granted: set[int]
     ) -> None:
-        """Grant every periodic device due on ``heap`` (one slot class)."""
+        """Grant every periodic device due on ``heap`` (one slot class).
+
+        Each gated device has exactly one entry: a due one that is not
+        transmitting goes back unchanged, and a transmitting one gets a
+        fresh entry after its success.
+        """
         repush = []
         while heap and heap[0][0] <= t_rar:
-            threshold, uid, ue = heapq.heappop(heap)
-            if threshold != ue.threshold or uid in granted:
-                continue  # superseded by a newer entry
+            entry = heapq.heappop(heap)
+            uid = entry[1]
             granted.add(uid)
             if uid not in transmitting:
-                cm = ue.cm
+                cm = entry[2].cm
                 cm.unnec_rar += 1
                 cm.unnec_grant += 1
-                repush.append((threshold, uid, ue))
-            # transmitting devices get a fresh entry after their success
+                repush.append(entry)
         for entry in repush:
             heapq.heappush(heap, entry)
 

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import random
 from unittest import mock
@@ -309,12 +308,12 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
     access comes ``late_slots`` after its schedule, as a retry would.  The
     first initial-phase sample sits at slot ``start``.  Preamble times are
     whole slots, ``(s + 1) * t_tti``.  After every access the fit must
-    equal a full refit of the same window, bit for bit, and so must the
-    regression sums whenever they are current; they are rebuilt only when
-    an update leaves a locked streak, and then once.  Returns how many
-    slides, skipped periods and rejections happened, how many refits ran
-    the margin pass and how many skipped it, how many refits fitted a slope
-    off the 0.125 ms grid, and how many sum rebuilds ran.
+    equal ``linear_regression`` over the same window, bit for bit: an
+    unlocked update refits with it, and a locked one keeps its line and
+    only rebases the intercept when the window slides.  Returns how many
+    slides, skipped periods and rejections happened, how many updates ran
+    the margin pass and how many skipped it, and how many refits fitted a
+    slope off the 0.125 ms grid.
     """
     state = EstimatorState()
     for i in range(window):
@@ -324,20 +323,15 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
     classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3, t_tti=t_tti)
     assert state.estimate.kind == "periodic"
     seen = {"slides": 0, "skips": 0, "rejections": 0,
-            "margin_passes": 0, "shortcuts": 0, "off_grid": 0, "rebuilds": 0}
+            "margin_passes": 0, "shortcuts": 0, "off_grid": 0}
     n = window - 1  # the anchor: the last initial sample
     for skipped, jitter, late in steps:
         n += 1 + skipped
         s = start + n * period_slots + jitter + (late_slots if late else 0)
         t = (s + 1) * t_tti
         full = len(state.times) == window
-        stale = state.sums_stale
-        with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin, \
-                mock.patch.object(estimator, "_rebuild_sums",
-                                  wraps=estimator._rebuild_sums) as rebuild:
+        with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
             observe_twostep_attempt(state, t)
-        assert rebuild.call_count == (stale and not state.sums_stale)
-        seen["rebuilds"] += rebuild.call_count
         if not state.times or state.times[-1] != t:
             seen["rejections"] += 1
         else:
@@ -349,13 +343,8 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
                     seen["off_grid"] += 1
         if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
             seen["skips"] += 1
-        # ticks are absolute period numbers; the sums count them from origin
+        # ticks are absolute period numbers; the fit counts them from origin
         xs = [k - state.origin for k in state.ticks]
-        if not state.sums_stale:  # a locked update leaves the sums behind
-            assert state.sum_x == sum(xs)
-            assert state.sum_xx == sum(x * x for x in xs)
-            assert state.sum_y == math.fsum(state.times)
-            assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
         if len(state.times) >= 2:
             intercept, slope = linear_regression(state.times, xs)
             est = state.estimate
@@ -364,7 +353,7 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
     return seen
 
 
-class TestRunningSumRefit:
+class TestWindowRefit:
     def test_slides_skips_and_rejections_match_full_refit(self):
         steps = [(0, 0, False)] * 3 + [(0, 1, False), (2, 0, False), (0, 0, True),
                                        (0, -1, False), (1, 0, False)] * 4
@@ -380,8 +369,6 @@ class TestRunningSumRefit:
         assert seen["skips"] > 0 and seen["slides"] > 0, seen
         assert seen["margin_passes"] == 1, seen
         assert seen["shortcuts"] == len(steps) - 2, seen
-        # and, once locked, no update pays for the regression sums
-        assert seen["rebuilds"] == 0, seen
 
     def test_off_grid_slope_runs_the_margin_pass(self):
         # one sample half a slot late bends four-sample fits off the grid;
@@ -409,33 +396,26 @@ class TestRunningSumRefit:
         n = window - 1
 
         def access(skipped, jitter=0):
-            # the update's calls: (regression_from_sums, margin_value, _rebuild_sums)
+            # the update's calls: (linear_regression, margin_value)
             nonlocal n
             n += 1 + skipped
             t = (start + n * period_slots + jitter + 1) * t_tti
-            with mock.patch.object(estimator, "regression_from_sums",
-                                   wraps=estimator.regression_from_sums) as fit, \
+            with mock.patch.object(estimator, "linear_regression",
+                                   wraps=linear_regression) as fit, \
                     mock.patch.object(estimator, "margin_value",
-                                      wraps=margin_value) as margin, \
-                    mock.patch.object(estimator, "_rebuild_sums",
-                                      wraps=estimator._rebuild_sums) as rebuild:
+                                      wraps=margin_value) as margin:
                 observe_twostep_attempt(state, t)
             assert state.times[-1] == t  # accepted
-            return fit.call_count, margin.call_count, rebuild.call_count
+            return fit.call_count, margin.call_count
 
-        assert [access(0), access(0)] == [(0, 0, 0), (1, 1, 0)]  # first fitted window
+        assert [access(0), access(0)] == [(0, 0), (1, 1)]  # first fitted window
         steps = [0, 2, 0, 1, 3, 0, 0] * 2
-        assert [access(skipped) for skipped in steps] == [(0, 0, 0)] * len(steps)
-        assert state.sums_stale
+        assert [access(skipped) for skipped in steps] == [(0, 0)] * len(steps)
         # the window slid and spans skipped periods
         assert state.origin > window and state.ticks[-1] - state.ticks[0] >= len(state.ticks)
-        # one slot of jitter leaves the locked path: one rebuild, then an exact refit
-        assert access(0, jitter=1) == (1, 1, 1)
-        assert not state.sums_stale
+        # one slot of jitter leaves the locked path: an exact refit
+        assert access(0, jitter=1) == (1, 1)
         xs = [k - state.origin for k in state.ticks]
-        assert (state.sum_x, state.sum_xx) == (sum(xs), sum(x * x for x in xs))
-        assert state.sum_y == math.fsum(state.times)
-        assert state.sum_xy == math.fsum(x * y for x, y in zip(xs, state.times))
         intercept, slope = linear_regression(state.times, xs)
         est = state.estimate
         assert (est.intercept_ms, est.period_ms) == (intercept, slope)

@@ -185,7 +185,7 @@ class TestSlotDiscipline:
 
         def spy(self, txs, s):
             for ue in txs:
-                if ue.procedure == "twostep":
+                if ue.twostep:
                     seen.append((ue.uid, ue.t_ind, s))
             return orig(self, txs, s)
 
@@ -208,7 +208,7 @@ class TestSlotDiscipline:
 
         def spy(self, txs, s):
             attempts_seen.extend(
-                ue.attempt for ue in txs if ue.procedure == "fourstep"
+                ue.attempt for ue in txs if not ue.twostep
             )
             return orig(self, txs, s)
 
@@ -296,17 +296,26 @@ class TestWorkedExample:
 
 class TestGrantGate:
     def test_heap_thresholds_follow_grant_threshold(self):
-        """The gated heap orders devices by protocol.grant_threshold."""
+        """The gated heap orders devices by protocol.grant_threshold and
+        holds one entry per periodic-classified device."""
         # a period off the 5 ms frame grid, so the fitted margins are not 0
         sc = dataclasses.replace(read_scenario(SCENARIOS / "smart_factory_mix.scn"),
                                  duration_ms=5_000.0, twostep_period_ms=47.0)
         eng = _Engine(sc, seed=1)
         eng.run()
-        gated = [ue for heap in eng.pu_heaps.values() for _, _, ue in heap]
-        assert any(math.isfinite(ue.threshold) for ue in gated)
-        assert any(ue.record.estimate.margin_ms > 0 for ue in gated)
-        for ue in gated:
-            assert ue.threshold == protocol.grant_threshold(ue.record)
+        entries = [(threshold, ue) for heap in eng.pu_heaps.values()
+                   for threshold, _, ue in heap]
+        assert any(math.isfinite(threshold) for threshold, _ in entries)
+        assert any(ue.record.estimate.margin_ms > 0 for _, ue in entries)
+        for threshold, ue in entries:
+            assert threshold == protocol.grant_threshold(ue.record)
+        uids = sorted(ue.uid for _, ue in entries)
+        periodic = [ue.uid for ue in eng.ues
+                    if ue.record is not None and ue.record.estimate.kind == "periodic"]
+        assert uids == periodic
+        classification = eng.report.classification
+        assert len(uids) == (classification["periodic_as_periodic"]
+                             + classification["event_as_periodic"]) > 0
 
 
 class TestUncontendedFourStep:
