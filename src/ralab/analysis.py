@@ -1,17 +1,23 @@
 """Markov-chain load models for both access procedures and the pool optimizer.
 
 Each procedure is modeled as a per-device renewal chain over the states
-``connected``, ``inactive``, and ``(attempt m, step n)``. Solving a chain
-yields the stationary state probabilities, the mean holding time, the
-expected signaling load per device per ms, and the access-failure
-probability. The four-step chain couples to itself through the collision
-probability (more transmissions cause more collisions cause more
-retransmissions), solved as a one-dimensional fixed point: the collision
-probability is the closed form ``1 - (1 - tau/n_cb)^(N-1)``, and the root
-of ``rhs(tau) - tau`` is found by Illinois false position on the bracket
-``[0, 1]``, which always holds. The module needs only numpy. The optimizer
-sweeps the split of the shared preamble pool between the two procedures and
-minimizes the total signaling load subject to a failure-probability cap.
+``connected``, ``inactive``, and ``(attempt m, step n)``. One solver serves
+both procedures, and each procedure supplies only its step success
+probabilities (the per-attempt preamble detection vector, then one scalar
+per later step) and each step's holding times on success and on failure:
+four steps for the four-step procedure, two for the two-step one. Solving
+a chain yields the stationary state probabilities, the mean holding time,
+the expected signaling load per device per ms, and the access-failure
+probability.
+
+The four-step chain couples to itself through the collision probability
+(more transmissions cause more collisions cause more retransmissions),
+solved as a one-dimensional fixed point: the collision probability is the
+closed form ``1 - (1 - tau/n_cb)^(N-1)``, and the root of ``rhs(tau) -
+tau`` is found by Illinois false position on the bracket ``[0, 1]``, which
+always holds. The module needs only numpy. The optimizer sweeps the split
+of the shared preamble pool between the two procedures and minimizes the
+total signaling load subject to a failure-probability cap.
 """
 
 from __future__ import annotations
@@ -44,6 +50,13 @@ def _check_positive(params, names) -> None:
             raise ModelInputError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _check_probability(params, names) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not 0.0 <= value <= 1.0:
+            raise ModelInputError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class FourStepParams:
     """Per-device model inputs for the four-step procedure."""
@@ -70,9 +83,7 @@ class FourStepParams:
             raise ModelInputError("max_attempts must be >= 1")
         _check_positive(self, ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
                                "rar_window_ms", "backoff_avg_ms", "conres_timer_ms"))
-        for name in ("p2", "p4"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ModelInputError(f"{name} must be in [0, 1]")
+        _check_probability(self, ("p2", "p4"))
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,7 @@ class TwoStepParams:
             raise ModelInputError("n_event must not exceed n_ue")
         _check_positive(self, ("rate_per_ms", "t_tti_ms", "t_up_ms", "t_inactive_ms",
                                "rar_window_ms"))
+        _check_probability(self, ("p2",))
         if self.t_p not in (1, 2, 3):
             raise ModelInputError("t_p must be in {1, 2, 3}")
         if self.n_event > 0 and self.n_cr < 2:
@@ -243,58 +255,89 @@ def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, flo
     return leave, -math.expm1(-lam * hold) / lam
 
 
-def _fourstep_chain(params: FourStepParams, rho_col: float, pm1: np.ndarray):
-    """Chain quantities for a fixed collision probability.
+def _chain(params: FourStepParams | TwoStepParams, f0: float, hold_idle: float,
+           probs: tuple, holds: tuple):
+    """Solve a renewal chain given its step success probabilities.
 
-    ``pm1`` is the detection probability of each attempt's preamble.
-    Returns (tau, components) where components hold everything needed to
-    assemble a StationarySolution once the fixed point converged.
+    ``probs[0]`` is the per-attempt preamble detection vector and
+    ``probs[1:]`` the scalar success probabilities of the later steps;
+    ``holds`` has one ``(hold on success, hold on failure)`` pair (ms) per
+    step, and step n holds their mean under ``probs[n]``. ``f0`` is the
+    first preamble state's weight relative to the inactive state, held for
+    ``hold_idle`` ms. An attempt fails at its first unsuccessful step and
+    the last step's success connects the device.
+
+    Returns (tau, parts); ``_solution`` turns the parts into a
+    StationarySolution.
     """
-    M = params.max_attempts
-    lam = params.rate_per_ms
-    t_tti = params.t_tti_ms
-    p2, p4 = params.p2, params.p4
-    p3 = 1.0 - rho_col
-
     leave_conn, hold_conn = _connected_state(params)
 
-    # f[m] is the unnormalized probability of the preamble state of attempt
-    # m + 1, with the inactive state fixed at weight 1.
-    fail = (1 - pm1) + pm1 * (1 - p2) + pm1 * p2 * (1 - p3) + pm1 * p2 * p3 * (1 - p4)
-    f = np.empty(M)
-    f[0] = -math.expm1(-lam * t_tti)  # expm1 keeps tiny rates precise
-    for i in range(1, M):
-        f[i] = f[i - 1] * fail[i - 1]
-    pi2 = pm1 * f
-    pi3 = p2 * pi2
-    pi4 = p3 * pi3
-    x_conn = p4 * pi4.sum() / leave_conn
-    total = x_conn + 1.0 + (f + pi2 + pi3 + pi4).sum()
+    # every sum runs left to right over the steps, so results stay bit-stable
+    fail, reach = 1 - probs[0], probs[0]
+    for p in probs[1:]:
+        fail = fail + reach * (1 - p)
+        reach = reach * p
+    # weights[n][m] is the unnormalized probability of step n + 1 of attempt
+    # m + 1, with the inactive state fixed at weight 1; attempt m + 1 starts
+    # after m failed attempts
+    f = np.empty(len(fail))
+    f[0], f[1:] = f0, fail[:-1]
+    weights = [np.cumprod(f, out=f)]
+    for p in probs[:-1]:
+        weights.append(p * weights[-1])
+    x_conn = probs[-1] * weights[-1].sum() / leave_conn
+    total = x_conn + 1.0 + sum(weights[1:], weights[0]).sum()
 
-    hold_idle = t_tti
+    # steps >= 2 hold scalars here; _solution broadcasts them
+    holding = [on_success * p + on_failure * (1 - p)
+               for p, (on_success, on_failure) in zip(probs, holds)]
+    t_tot = x_conn * hold_conn + hold_idle
+    for w, h in zip(weights, holding):
+        t_tot += (w * h).sum()
+    t_tot /= total
+
+    tau = float((weights[0] * probs[0]).sum() * params.t_tti_ms / (total * t_tot))
+    return tau, (probs, weights, holding, x_conn, total, hold_conn, hold_idle, t_tot)
+
+
+def _solution(procedure: str, tau: float, parts, rho_col: float | None = None,
+              residual: float | None = None) -> StationarySolution:
+    """The StationarySolution of a chain that ``_chain`` solved into ``parts``."""
+    probs, weights, holding, x_conn, total, hold_conn, hold_idle, t_tot = parts
+    pi = np.stack(weights, axis=1) / total
+    # filled column by column: np.stack over np.broadcast_arrays made the
+    # optimizer's sweep about 7 % slower
+    holding_matrix = np.empty(pi.shape)
+    for n, h in enumerate(holding):
+        holding_matrix[:, n] = h
+    return StationarySolution(
+        procedure=procedure, pi_connected=x_conn / total, pi_inactive=1.0 / total,
+        pi=pi, detect=probs[0], p_steps=tuple(probs[1:]),
+        holding_connected=hold_conn, holding_inactive=hold_idle, holding=holding_matrix,
+        t_tot=t_tot, tau=tau, rho_col=rho_col, residual=residual,
+    )
+
+
+# A successful step holds its messages' share of the latency budget (ms):
+# four-step steps 2-4, and the two-step response step, which holds
+# detection, response and device processing.
+_FOURSTEP_STEP_MS = (core.LATENCY_COMPONENTS_MS[2], sum(core.LATENCY_COMPONENTS_MS[3:5]),
+                     sum(core.LATENCY_COMPONENTS_MS[5:8]))
+_TWOSTEP_RESPONSE_MS = sum(core.LATENCY_COMPONENTS_MS[2:4])
+
+
+def _fourstep_chain(params: FourStepParams, rho_col: float, pm1: np.ndarray):
+    """The four-step chain for a fixed collision probability; ``pm1`` is the
+    detection probability of each attempt's preamble. Returns (tau, parts)."""
+    t_tti = params.t_tti_ms
     w, bw, wres = params.rar_window_ms, params.backoff_avg_ms, params.conres_timer_ms
-    # steps 2-4 hold their messages' share of the latency budget
-    t2 = core.LATENCY_COMPONENTS_MS[2]
-    t3 = sum(core.LATENCY_COMPONENTS_MS[3:5])
-    t4 = sum(core.LATENCY_COMPONENTS_MS[5:8])
-    h1 = t_tti * pm1 + (t_tti + w + bw) * (1 - pm1)
-    h2 = np.full(M, t2 * p2 + (w + bw) * (1 - p2))
-    h3 = np.full(M, t3 * p3 + (t3 + wres + bw) * (1 - p3))
-    h4 = np.full(M, t4 * p4 + (wres + bw) * (1 - p4))
-    t_tot = (
-        x_conn * hold_conn + hold_idle
-        + (f * h1).sum() + (pi2 * h2).sum() + (pi3 * h3).sum() + (pi4 * h4).sum()
-    ) / total
-
-    tau = float((f * pm1).sum() * t_tti / (total * t_tot))
-    components = {
-        "x_conn": x_conn, "total": total, "f": f,
-        "pi2": pi2, "pi3": pi3, "pi4": pi4,
-        "hold_conn": hold_conn, "hold_idle": hold_idle,
-        "h": (h1, h2, h3, h4), "t_tot": t_tot,
-        "p_steps": (p2, p3, p4),
-    }
-    return tau, components
+    t2, t3, t4 = _FOURSTEP_STEP_MS
+    # expm1 keeps tiny rates precise
+    return _chain(
+        params, -math.expm1(-params.rate_per_ms * t_tti), t_tti,
+        (pm1, params.p2, 1.0 - rho_col, params.p4),
+        ((t_tti, t_tti + w + bw), (t2, w + bw), (t3, t3 + wres + bw), (t4, wres + bw)),
+    )
 
 
 def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> StationarySolution:
@@ -339,25 +382,7 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
         raise SolverError(f"fixed point residual {residual:.3e} >= {residual_tol:.1e}")
 
     rho = collision_probability(tau, params.n_ue, params.n_cb)
-    _, c = _fourstep_chain(params, rho, detect)
-    total = c["total"]
-    pi = np.stack([c["f"], c["pi2"], c["pi3"], c["pi4"]], axis=1) / total
-    holding = np.stack(c["h"], axis=1)
-    return StationarySolution(
-        procedure="fourstep",
-        pi_connected=c["x_conn"] / total,
-        pi_inactive=1.0 / total,
-        pi=pi,
-        detect=detect,
-        p_steps=c["p_steps"],
-        holding_connected=c["hold_conn"],
-        holding_inactive=c["hold_idle"],
-        holding=holding,
-        t_tot=c["t_tot"],
-        tau=tau,
-        rho_col=rho,
-        residual=residual,
-    )
+    return _solution("fourstep", tau, _fourstep_chain(params, rho, detect)[1], rho, residual)
 
 
 def load_fourstep(solution: StationarySolution) -> float:
@@ -429,47 +454,13 @@ def _twostep_detection_vector(params: TwoStepParams) -> np.ndarray:
 
 def solve_twostep(params: TwoStepParams) -> StationarySolution:
     """Solve the two-step chain (linear; only detection self-couples)."""
-    M = params.max_attempts
-    lam = params.rate_per_ms
-    t_tti = params.t_tti_ms
-    p2 = params.p2
-
-    pm1 = _twostep_detection_vector(params)
-    leave_conn, hold_conn = _connected_state(params)
+    t_tti, w = params.t_tti_ms, params.rar_window_ms
     stride = core.mean_class_stride_slots(params.t_p)
-
-    f = np.empty(M)
-    f[0] = -math.expm1(-lam * stride * t_tti)
-    for i in range(1, M):
-        f[i] = f[i - 1] * ((1 - pm1[i - 1]) + pm1[i - 1] * (1 - p2))
-    pi2 = pm1 * f
-    x_conn = p2 * pi2.sum() / leave_conn
-    total = x_conn + 1.0 + (f + pi2).sum()
-
-    hold_idle = t_tti * stride
-    w = params.rar_window_ms
-    h1 = t_tti * pm1 + (t_tti + w) * (1 - pm1)
-    # the response step holds detection, response and device processing
-    h2 = np.full(M, sum(core.LATENCY_COMPONENTS_MS[2:4]) * p2 + w * (1 - p2))
-    t_tot = (x_conn * hold_conn + hold_idle + (f * h1).sum() + (pi2 * h2).sum()) / total
-    tau = float((f * pm1).sum() * t_tti / (total * t_tot))
-
-    pi = np.stack([f, pi2], axis=1) / total
-    return StationarySolution(
-        procedure="twostep",
-        pi_connected=x_conn / total,
-        pi_inactive=1.0 / total,
-        pi=pi,
-        detect=pm1,
-        p_steps=(p2,),
-        holding_connected=hold_conn,
-        holding_inactive=hold_idle,
-        holding=np.stack([h1, h2], axis=1),
-        t_tot=t_tot,
-        tau=tau,
-        rho_col=None,
-        residual=None,
-    )
+    pm1 = _twostep_detection_vector(params)
+    return _solution("twostep", *_chain(
+        params, -math.expm1(-params.rate_per_ms * stride * t_tti), t_tti * stride,
+        (pm1, params.p2), ((t_tti, t_tti + w), (_TWOSTEP_RESPONSE_MS, w)),
+    ))
 
 
 def effective_rar_load(params: TwoStepParams, detect: np.ndarray) -> float:

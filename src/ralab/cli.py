@@ -114,28 +114,6 @@ def write_run_report(out: Path, head: dict, pooled: metrics.MetricsReport,
     write_json(out / "summary.json", {**head, **simulation_summary(pooled, per_seed)})
 
 
-def analysis_summary(sc: Scenario) -> dict:
-    out: dict = {}
-    fp = fourstep_params(sc)
-    if fp is not None:
-        sol = analysis.solve_fourstep(fp)
-        out["fourstep"] = {
-            "tau": sol.tau,
-            "rho_col": sol.rho_col,
-            "p_fail": analysis.failure_probability(sol),
-            "load_per_ue_per_ms": analysis.load_fourstep(sol),
-            "total_probability": sol.total_probability,
-        }
-    tp = twostep_params(sc)
-    if tp is not None:
-        sol2 = analysis.solve_twostep(tp)
-        out["twostep"] = {
-            "load_per_ue_per_ms": analysis.load_twostep(sol2, tp),
-            "total_probability": sol2.total_probability,
-        }
-    return out
-
-
 # ----------------------------------------------------------------------
 # modes
 
@@ -157,7 +135,24 @@ def _mode_simulate(sc: Scenario, seeds: list[int], out: Path | None) -> int:
 
 
 def _mode_analyze(sc: Scenario, out: Path | None) -> int:
-    result = analysis_summary(sc)
+    result: dict = {}
+    fp = fourstep_params(sc)
+    if fp is not None:
+        sol = analysis.solve_fourstep(fp)
+        result["fourstep"] = {
+            "tau": sol.tau,
+            "rho_col": sol.rho_col,
+            "p_fail": analysis.failure_probability(sol),
+            "load_per_ue_per_ms": analysis.load_fourstep(sol),
+            "total_probability": sol.total_probability,
+        }
+    tp = twostep_params(sc)
+    if tp is not None:
+        sol = analysis.solve_twostep(tp)
+        result["twostep"] = {
+            "load_per_ue_per_ms": analysis.load_twostep(sol, tp),
+            "total_probability": sol.total_probability,
+        }
     if not result:
         raise CliError("analyze needs a non-empty device population")
     summary = {"mode": "analyze", "scenario": _scenario_dict(sc), **result}

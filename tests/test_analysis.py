@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -240,6 +242,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="rate_per_ms"):
             twostep(rate=rate)
 
+    @pytest.mark.parametrize("p2", [1.5, -0.2, math.nan])
+    def test_p2_must_be_a_probability(self, p2):
+        with pytest.raises(analysis.ModelInputError, match="p2 must be in"):
+            fourstep(p2=p2)
+        with pytest.raises(analysis.ModelInputError, match="p2 must be in"):
+            twostep(p2=p2)
+
 
 class TestTwoStepDetection:
     def test_cell_mean_devices(self):
@@ -383,3 +392,52 @@ class TestOptimizer:
         assert not res.points[0].feasible  # n_cr = 0 cannot host event devices
         assert not res.points[1].feasible
         assert not res.points[54].feasible  # n_cb = 0 cannot host fourstep devices
+
+
+class TestExactOutput:
+    """Solver outputs pinned bit for bit over a small parameter grid.
+
+    Every other analysis test compares with a tolerance; these digests
+    change when any floating-point operation of a chain solve changes its
+    order or its operands. The grid covers a single attempt, step success
+    probabilities below 1, a lone device and near-zero rates.
+    """
+
+    FIELDS = ("tau", "rho_col", "residual", "t_tot", "pi_connected", "pi_inactive",
+              "holding_connected", "holding_inactive", "pi", "holding", "detect",
+              "p_steps")
+
+    @staticmethod
+    def feed(h, value):
+        h.update(b"none" if value is None else np.asarray(value, dtype=np.float64).tobytes())
+
+    def digest(self, cases, solve, load):
+        h = hashlib.sha256()
+        for params in cases:
+            sol = solve(params)
+            for name in self.FIELDS:
+                self.feed(h, getattr(sol, name))
+            self.feed(h, load(sol, params))
+            self.feed(h, failure_probability(sol))
+        return h.hexdigest()
+
+    def test_fourstep_digest(self):
+        cases = [
+            fourstep(n_ue=n_ue, n_cb=n_cb, rate=rate, max_attempts=m, p2=p2, p4=p4)
+            for (n_ue, n_cb), m, (p2, p4), rate in itertools.product(
+                ((1, 25), (40, 3), (3000, 25)), (1, 3, 10),
+                ((1.0, 1.0), (0.9, 0.8)), (1e-15, RATE_HALF_PER_S, 0.05))
+        ]
+        got = self.digest(cases, solve_fourstep, lambda sol, _: load_fourstep(sol))
+        assert got == "9c76c3718a038f7b2233b1f1720be208e9087de35fcf4324edb39ab44c2bc57f"
+
+    def test_twostep_digest(self):
+        cases = [
+            TwoStepParams(n_ue=n_ue, n_event=n_event, n_cr=n_cr, rate_per_ms=rate,
+                          t_p=t_p, max_attempts=m, p2=p2)
+            for (n_ue, n_event, n_cr), t_p, m, p2, rate in itertools.product(
+                ((1, 1, 2), (1000, 0, 29), (1000, 300, 29), (1000, 700, 5)), (1, 3),
+                (1, 3, 10), (1.0, 0.7), (1e-15, RATE_6_8_PER_S, 0.05))
+        ]
+        got = self.digest(cases, solve_twostep, load_twostep)
+        assert got == "6d4e33f1d8c225b61a7ff156da6db9f813e7ecdcc741cf3bd5bf375b232ccb51"

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -308,3 +311,15 @@ class TestReadmeCommands:
         # the CLI's own parser, scenario file and --set handling; no run
         monkeypatch.chdir(ROOT)
         prepare(shlex.split(command)[1:])
+
+
+def test_import_loads_only_numpy_dependencies():
+    # the runtime needs only numpy; scipy and the test libraries cost import
+    # time on every CLI start
+    code = ("import sys, ralab, ralab.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & "
+            "{'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[]"
