@@ -400,7 +400,9 @@ class TestExactOutput:
     Every other analysis test compares with a tolerance; these digests
     change when any floating-point operation of a chain solve changes its
     order or its operands. The grid covers a single attempt, step success
-    probabilities below 1, a lone device and near-zero rates.
+    probabilities below 1, a lone device and near-zero rates. The digests
+    also depend on the platform's libm and numpy build; after changing
+    either, recompute them from an unchanged solver.
     """
 
     FIELDS = ("tau", "rho_col", "residual", "t_tot", "pi_connected", "pi_inactive",
