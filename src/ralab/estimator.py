@@ -7,13 +7,19 @@ first) the device is classified as ``periodic`` or ``event`` from the
 variance of its inter-reception times. Periodic devices additionally get a
 period/margin estimate via least squares, fitted once at classification,
 and a preferred transmission-slot class. After classification the
-estimate is refreshed from the preamble times of successful accesses.  Each
-access appends its sample and slides the window when it is full: the
+estimate is refreshed from the access series: for each successful access,
+the reception time of the preamble the device sent on its *first* attempt
+for that packet.  A retry therefore adds no delay to the series.  This
+assumes that the device reports its first-attempt slot, or its attempt
+count, in the uplink packet that the grant schedules.
+
+Each access appends its sample and slides the window when it is full: the
 window's ticks are absolute period numbers and positions count from
 ``EstimatorState.origin``, so a slide drops the oldest sample, moves the
-origin and rebases the intercept, and rewrites no list.  An access on a
-locked lattice (a zero-margin fit on the 0.125 ms grid) then only moves the
-anchor, which is O(1); any other access refits the window with
+origin and rebases the intercept, and rewrites no list.  Until the window
+is full the classification fit stays and only the anchor moves.  Then an
+access on a locked lattice (a zero-margin fit on the 0.125 ms grid) only
+moves the anchor, which is O(1); any other access refits the window with
 :func:`linear_regression` and runs one O(window) margin pass.
 """
 
@@ -52,7 +58,6 @@ class EstimatorState:
     times: list[float] = field(default_factory=list)
     estimate: TrafficEstimate | None = None
     window: int = 0                   # sample cap after classification (0 = none)
-    guard_ms: float = 0.0             # schedule-quantization width of the gate
     ticks: list[int] = field(default_factory=list)  # period number per sample
     anchor_tick: int = 0              # period number of the current anchor
     # period number the fit's positions count from, the window's first tick
@@ -193,14 +198,13 @@ def classify_traffic_type(
     state.phase = "post"
     state.estimate = est
     state.window = max(r_threshold, 2)
-    state.guard_ms = core.mean_class_stride_slots(t_p) * t_tti
     # The initial-phase samples are adjusted uplink times; after
     # classification the window tracks successful access times instead.
     # The two series sit on different lattices (an access happens a fixed
     # alignment gap after the packet it serves), so regressing across the
     # boundary would bias the slope while the window mixes them.  Start the
     # access-time series fresh; the classification fit stays in force until
-    # the new series can support its own regression.
+    # the new series fills the window.
     state.times = []
     state.ticks = []
     state.anchor_tick = state.origin = 0
@@ -210,41 +214,35 @@ def classify_traffic_type(
 def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> EstimatorState:
     """Fold a successful two-step access into a periodic estimate.
 
-    The sample is the preamble reception time; the sample window keeps the
-    most recent ``state.window`` values.  Ticks are stored as absolute
-    period numbers and the fit's positions count from ``state.origin`` (0
-    until the window first slides, then its first tick): a slide drops the
-    oldest sample, moves the origin and rebases the intercept onto it,
-    which is O(1) and rewrites no list.  Preamble times are whole slots,
-    ``(s+1)·t_tti`` with ``t_tti`` a multiple of 0.125 ms (which
-    ``Scenario`` enforces), so every window value is an exact binary
-    fraction.
+    The sample is the reception time of the preamble the device sent on its
+    first attempt for the packet, so a success reached through retries
+    carries the device's schedule, not the retry delay.  The sample window
+    keeps the most recent ``state.window`` values.  Ticks are stored as
+    absolute period numbers and the fit's positions count from
+    ``state.origin`` (0 until the window first slides, then its first
+    tick): a slide drops the oldest sample, moves the origin and rebases
+    the intercept onto it, which is O(1) and rewrites no list.  Preamble
+    times are whole slots, ``(s+1)·t_tti`` with ``t_tti`` a multiple of
+    0.125 ms (which ``Scenario`` enforces), so every window value is an
+    exact binary fraction.
 
-    Cost: O(1) on a locked lattice, with no regression; otherwise one
-    O(window) ``linear_regression`` refit of the window plus one O(window)
-    ``margin_value`` pass.  The lattice is locked when the window holds its
-    own fit, its margin is zero, intercept and slope are whole multiples of
-    0.125 ms and the sample lands exactly on the lattice point.  Every
-    sample then lies on the fitted line, every residual is computed
-    exactly, and least squares over the new window returns that line on the
-    rebased ticks with a zero margin, bit for bit: the update only moves
-    the intercept by the rebase and the anchor onto the sample.
+    Every sample takes one of two paths once the window is full.  Until
+    then the classification fit stays in force and the anchor moves onto
+    the sample.  Cost: O(1) on a locked lattice, with no regression;
+    otherwise one O(window) ``linear_regression`` refit of the window plus
+    one O(window) ``margin_value`` pass.  The lattice is locked when the
+    window was full before the sample, and so held its own fit, its margin
+    is zero, intercept and slope are whole multiples of 0.125 ms and the
+    sample lands exactly on the lattice point.  Every sample then lies on
+    the fitted line, every residual is computed exactly, and least squares
+    over the new window returns that line on the rebased ticks with a zero
+    margin, bit for bit: the update only moves the intercept by the rebase
+    and the anchor onto the sample.
 
-    Samples pass a validation gate first: a success more than
-    ``max(margin, guard)`` away from the nearest point of the fitted
-    lattice was reached through retries, so its timing reflects the
-    failure-recovery procedure rather than the device's traffic pattern.
-    Feeding it into the regression would drag the schedule model behind
-    the device's real schedule, and since later grants depend on the
-    model, one late sample could otherwise delay every subsequent access.
-    Off-schedule successes therefore advance the anchor along the lattice
-    and leave the fit untouched.  The guard is one mean class stride:
-    on-schedule accesses land within the schedule quantization, while
-    retry delays start at the response-window expiry, several slots later.
-
-    Each accepted sample carries the number of periods elapsed since the
-    anchor, so accesses that skip periods (failed or rejected cycles) keep
-    the regression aligned with the device's schedule.
+    Each sample carries the number of periods elapsed since the anchor, at
+    least one, since each access serves a new packet.  So accesses that skip
+    periods (failed cycles) keep the regression aligned with the device's
+    schedule, and the window's positions never all coincide.
     """
     if state.phase != "post":
         raise ValueError("observe_twostep_attempt applies after classification")
@@ -255,16 +253,11 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     period = est.period_ms
     if (times or est.anchor_ms) and period > 0:
         elapsed = round((preamble_time - est.anchor_ms) / period)
-        if elapsed < 0:
-            elapsed = 0
-        lattice = est.anchor_ms + elapsed * period
-        margin, guard = est.margin_ms, state.guard_ms
-        if abs(preamble_time - lattice) > (guard if margin < guard else margin):
-            est.anchor_ms = lattice
-            state.anchor_tick += elapsed
-            return state
+        if elapsed < 1:  # a new packet: no two samples share a period
+            elapsed = 1
         tick = state.anchor_tick + elapsed
-        locked = (preamble_time == lattice and margin == 0.0 and len(times) >= 2
+        locked = (len(times) == state.window and est.margin_ms == 0.0
+                  and preamble_time == est.anchor_ms + elapsed * period
                   and period % core.TTI_GRID_MS == 0
                   and est.intercept_ms % core.TTI_GRID_MS == 0)
     else:
@@ -272,16 +265,16 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         locked = False
     times.append(preamble_time)
     ticks.append(tick)
-    if 0 < state.window < len(times):  # slide: the line moves with origin
+    if state.window < len(times):  # slide: the line moves with origin
         times.pop(0)
         ticks.pop(0)
         est.intercept_ms += (ticks[0] - state.origin) * period
         state.origin = ticks[0]
     state.anchor_tick = tick
-    if locked or len(times) < 2:
-        # a locked line already fits the new window; a single access sample
-        # cannot support a regression, so the classification-time period
-        # and margin stay.  Either way the anchor is the sample itself.
+    if locked or len(times) < state.window:
+        # a locked line already fits the new window; a window that is not
+        # full yet keeps the classification-time period and margin.  Either
+        # way the anchor is the sample itself.
         est.anchor_ms = preamble_time
     else:
         origin = state.origin

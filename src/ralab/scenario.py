@@ -66,6 +66,8 @@ class Scenario:
                 f"t_tti_ms must be a positive multiple of {core.TTI_GRID_MS} ms, "
                 f"got {self.t_tti_ms!r}"
             )
+        if not math.isfinite(self.duration_ms / self.t_tti_ms):
+            raise ScenarioError(f"duration_ms gives an infinite slot count: {self.duration_ms!r}")
         if self.duration_slots < 1:
             raise ScenarioError(
                 f"duration_ms must span at least one {self.t_tti_ms} ms slot, "

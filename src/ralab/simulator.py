@@ -52,6 +52,7 @@ class _Ue:
         "period_ms", "rate_per_ms", "next_arrival_ms",
         "est", "record", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
+        "first_slot",  # two-step only: the slot of the packet's first preamble
     )
 
     def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
@@ -260,7 +261,7 @@ class _Engine:
             ue.trigger_arrival = ue.queue.pop(0)
             ue.attempt = 1
             if ue.twostep:
-                known_slot = core.next_tx_slot(known_slot, self.t_p, ue.t_ind)
+                known_slot = ue.first_slot = core.next_tx_slot(known_slot, self.t_p, ue.t_ind)
             self._push_tx(ue, known_slot)
         else:
             ue.in_ra = False
@@ -316,7 +317,7 @@ class _Engine:
                 ue.trigger_arrival = arrival
                 t = slot + 1
                 if ue.twostep:
-                    t = core.next_tx_slot(t, t_p, ue.t_ind)
+                    t = ue.first_slot = core.next_tx_slot(t, t_p, ue.t_ind)
                 # beyond the horizon the packet stays pending
                 if t < n_slots:
                     i = t & mask
@@ -464,11 +465,11 @@ class _Engine:
                 for ue in ues:
                     if ue.uid in granted:
                         ue.cm.necessary += 2
-                        # anchor the next grant on the fitted time, not the
-                        # raw one: a retry-delayed success shifts it by its
-                        # leverage share only, so one late sample cannot
-                        # drag every later window behind the schedule
-                        estimator.observe_twostep_attempt(ue.est, t_rar)
+                        # fit the first attempt's preamble time, which the
+                        # device reports in the packet this grant carries: a
+                        # retry's delay would drag the fit late
+                        estimator.observe_twostep_attempt(
+                            ue.est, (ue.first_slot + 1) * self.t_tti)
                         record = ue.record
                         record.t0_last = record.estimate.anchor_ms
                         heapq.heappush(heap, (protocol.grant_threshold(record), ue.uid, ue))

@@ -167,6 +167,27 @@ class TestExitCodes:
         assert "FAIL fourstep" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("mode", ["analyze", "simulate", "validate", "optimize"])
+    @pytest.mark.parametrize("form", ["set", "duration-ms", "file"])
+    def test_duration_beyond_the_slot_count_is_exit_1(self, mode, form, tmp_path):
+        # 1e308 ms is finite, but its slot count is not
+        argv = {
+            "set": ["--set", "duration_ms=1e308"],
+            "duration-ms": ["--duration-ms", "1e308"],
+            "file": ["--scenario", str(tmp_path / "case.scn")],
+        }[form]
+        (tmp_path / "case.scn").write_text("duration_ms = 1e308\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ralab.cli", "--mode", mode, *argv,
+             "--set", "traffic.fourstep.n_ue=10"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: duration_ms gives an infinite slot count: 1e+308\n"
+        assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
+
 class TestReportFiles:
     def test_simulate_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "reports"

@@ -260,13 +260,15 @@ class TestObserveTwostepAttempt:
         assert state.estimate.period_ms == period
         assert state.estimate.margin_ms == margin
 
-    def test_two_successes_refit_on_access_lattice(self):
+    def test_successes_keep_the_classification_fit_until_the_window_fills(self):
         state = self.classified()
+        fit = (state.estimate.intercept_ms, state.estimate.period_ms, state.estimate.margin_ms)
         observe_twostep_attempt(state, preamble_time=509.0)
         observe_twostep_attempt(state, preamble_time=559.0)
-        assert state.estimate.period_ms == pytest.approx(50.0)
-        assert state.estimate.anchor_ms == pytest.approx(559.0)
-        assert state.estimate.margin_ms == pytest.approx(0.0)
+        est = state.estimate
+        assert (est.intercept_ms, est.period_ms, est.margin_ms) == fit
+        assert est.anchor_ms == 559.0
+        assert state.ticks == [1, 2]
 
     def test_jitter_shows_up_in_margin(self):
         state = self.classified()
@@ -274,7 +276,18 @@ class TestObserveTwostepAttempt:
         for i in range(1, 11):
             jitter = 1.5 if i == 5 else 0.0
             observe_twostep_attempt(state, preamble_time=base + 50.0 * i + jitter)
-        assert state.estimate.margin_ms > 0.0
+            # the window's own fit replaces the classification fit once full
+            assert (state.estimate.margin_ms > 0.0) == (i == state.window)
+
+    def test_samples_never_share_a_period(self):
+        # each access serves a new packet; in a two-sample window, two
+        # samples on one tick would leave no positions to regress against
+        state = periodic_state(n=2, period=50.0, start=10.0)
+        classify_traffic_type(state, r_threshold=2, var_threshold=0.1, t_p=3)
+        for t in (108.0, 120.0, 130.0):  # 12 and 10 ms apart at a 50 ms period
+            observe_twostep_attempt(state, preamble_time=t)
+        assert state.ticks == [2, 3]
+        assert state.estimate.period_ms == 10.0
 
     @pytest.mark.parametrize("clone", [
         copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
@@ -301,19 +314,20 @@ class TestObserveTwostepAttempt:
             observe_twostep_attempt(state, preamble_time=1.0)
 
 
-def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, start=40):
+def replay_access_series(t_tti, period_slots, window, steps, start=40):
     """Feed a classified periodic device a series of successful accesses.
 
-    ``steps`` holds (periods skipped, jitter in slots, late) triples; a late
-    access comes ``late_slots`` after its schedule, as a retry would.  The
-    first initial-phase sample sits at slot ``start``.  Preamble times are
-    whole slots, ``(s + 1) * t_tti``.  After every access the fit must
-    equal ``linear_regression`` over the same window, bit for bit: an
-    unlocked update refits with it, and a locked one keeps its line and
-    only rebases the intercept when the window slides.  Returns how many
-    slides, skipped periods and rejections happened, how many updates ran
-    the margin pass and how many skipped it, and how many refits fitted a
-    slope off the 0.125 ms grid.
+    ``steps`` holds (periods skipped, jitter in slots) pairs.  The first
+    initial-phase sample sits at slot ``start``.  Preamble times are whole
+    slots, ``(s + 1) * t_tti``.  Every access is taken into the window.
+    Until the window is full the classification fit must hold and the
+    anchor must equal the sample.  Once it is full, the fit must equal
+    ``linear_regression`` over the same window, bit for bit, after every
+    access: an unlocked update refits with it, and a locked one keeps its
+    line and only rebases the intercept when the window slides.  Returns
+    how many updates filled the window, slid it and skipped periods, how
+    many full-window updates ran the margin pass and how many skipped it,
+    and how many refits fitted a slope off the 0.125 ms grid.
     """
     state = EstimatorState()
     for i in range(window):
@@ -322,67 +336,70 @@ def replay_access_series(t_tti, period_slots, window, steps, late_slots=12, star
         observe_uplink_packet(state, now=now, t_up=3.0, t_tti=t_tti)
     classify_traffic_type(state, r_threshold=window, var_threshold=0.1, t_p=3, t_tti=t_tti)
     assert state.estimate.kind == "periodic"
-    seen = {"slides": 0, "skips": 0, "rejections": 0,
+    fit = (state.estimate.intercept_ms, state.estimate.period_ms, state.estimate.margin_ms)
+    seen = {"fills": 0, "slides": 0, "skips": 0,
             "margin_passes": 0, "shortcuts": 0, "off_grid": 0}
     n = window - 1  # the anchor: the last initial sample
-    for skipped, jitter, late in steps:
+    for skipped, jitter in steps:
         n += 1 + skipped
-        s = start + n * period_slots + jitter + (late_slots if late else 0)
-        t = (s + 1) * t_tti
+        t = (start + n * period_slots + jitter + 1) * t_tti
         full = len(state.times) == window
         with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
             observe_twostep_attempt(state, t)
-        if not state.times or state.times[-1] != t:
-            seen["rejections"] += 1
-        else:
-            if full:
-                seen["slides"] += 1
-            if len(state.times) >= 2:
-                seen["margin_passes" if margin.call_count else "shortcuts"] += 1
-                if state.estimate.period_ms % 0.125:
-                    seen["off_grid"] += 1
+        assert state.times[-1] == t  # no sample is turned away
+        if full:
+            seen["slides"] += 1
         if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
             seen["skips"] += 1
+        est = state.estimate
+        if len(state.times) < window:
+            seen["fills"] += 1
+            assert margin.call_count == 0
+            assert (est.intercept_ms, est.period_ms, est.margin_ms) == fit
+            assert est.anchor_ms == t
+            continue
+        seen["margin_passes" if margin.call_count else "shortcuts"] += 1
+        if est.period_ms % 0.125:
+            seen["off_grid"] += 1
         # ticks are absolute period numbers; the fit counts them from origin
         xs = [k - state.origin for k in state.ticks]
-        if len(state.times) >= 2:
-            intercept, slope = linear_regression(state.times, xs)
-            est = state.estimate
-            assert (est.intercept_ms, est.period_ms) == (intercept, slope)
-            assert est.margin_ms == margin_value(state.times, intercept, slope, xs)
+        intercept, slope = linear_regression(state.times, xs)
+        assert (est.intercept_ms, est.period_ms) == (intercept, slope)
+        assert est.margin_ms == margin_value(state.times, intercept, slope, xs)
     return seen
 
 
 class TestWindowRefit:
-    def test_slides_skips_and_rejections_match_full_refit(self):
-        steps = [(0, 0, False)] * 3 + [(0, 1, False), (2, 0, False), (0, 0, True),
-                                       (0, -1, False), (1, 0, False)] * 4
+    def test_fills_slides_and_skips_match_full_refit(self):
+        # four exact samples after each jittered one: three flush it from
+        # the window, and the fourth finds the lattice locked
+        steps = [(0, 0)] * 3 + ([(0, 1), (2, 0)] + [(0, 0)] * 3
+                                + [(0, -1), (1, 0)] + [(0, 0)] * 3) * 3
         seen = replay_access_series(0.5, 100, 3, steps)
         assert all(count > 0 for count in seen.values()), seen
 
     def test_exact_lattice_with_skips_needs_one_margin_pass(self):
-        # only the first two-sample refit, which replaces the classification
-        # fit, runs the pass; every later one keeps the same line
-        steps = [(0, 0, False), (2, 0, False), (0, 0, False), (1, 0, False),
-                 (3, 0, False)] * 3
+        # only the refit that fills the window, which replaces the
+        # classification fit, runs the pass; every later one keeps the line
+        steps = [(0, 0), (2, 0), (0, 0), (1, 0), (3, 0)] * 3
         seen = replay_access_series(0.5, 100, 4, steps)
         assert seen["skips"] > 0 and seen["slides"] > 0, seen
-        assert seen["margin_passes"] == 1, seen
-        assert seen["shortcuts"] == len(steps) - 2, seen
+        assert (seen["fills"], seen["margin_passes"]) == (3, 1), seen
+        assert seen["shortcuts"] == len(steps) - 4, seen
 
     def test_off_grid_slope_runs_the_margin_pass(self):
         # one sample half a slot late bends four-sample fits off the grid;
         # the shortcut resumes once it has left the window
-        steps = [(0, 0, False)] * 5 + [(0, 1, False)] + [(0, 0, False)] * 8
+        steps = [(0, 0)] * 5 + [(0, 1)] + [(0, 0)] * 8
         seen = replay_access_series(0.5, 100, 4, steps)
         assert seen["off_grid"] > 0, seen
         assert seen["margin_passes"] >= 1 + seen["off_grid"], seen
         assert seen["shortcuts"] > 0, seen
         # one slot of drift every three periods: every window lies exactly on
         # a line of slope 50 + 0.125/3 ms, and every refit runs the pass
-        steps = [(2, k, False) for k in range(12)]
+        steps = [(2, k) for k in range(12)]
         seen = replay_access_series(0.125, 400, 3, steps)
-        assert seen["off_grid"] == seen["margin_passes"] == len(steps) - 1, seen
+        assert seen["off_grid"] == seen["margin_passes"] == len(steps) - 2, seen
         assert seen["shortcuts"] == 0, seen
 
     def test_locked_lattice_skips_the_refit(self):
@@ -405,10 +422,11 @@ class TestWindowRefit:
                     mock.patch.object(estimator, "margin_value",
                                       wraps=margin_value) as margin:
                 observe_twostep_attempt(state, t)
-            assert state.times[-1] == t  # accepted
+            assert state.times[-1] == t
             return fit.call_count, margin.call_count
 
-        assert [access(0), access(0)] == [(0, 0), (1, 1)]  # first fitted window
+        # the window fills, and the access that fills it makes the first fit
+        assert [access(0) for _ in range(window)] == [(0, 0)] * (window - 1) + [(1, 1)]
         steps = [0, 2, 0, 1, 3, 0, 0] * 2
         assert [access(skipped) for skipped in steps] == [(0, 0)] * len(steps)
         # the window slid and spans skipped periods
@@ -426,18 +444,16 @@ class TestWindowRefit:
         # line on the schedule and on the grid, with a margin of 0.8 slot;
         # on-lattice samples must still refit while the jitter leaves the
         # window, since each jittered sample that leaves moves the line
-        steps = ([(0, 0, False)] * 5 + [(0, -1, False), (0, 2, False), (0, -1, False)]
-                 + [(0, 0, False)] * 6)
+        steps = [(0, 0)] * 5 + [(0, -1), (0, 2), (0, -1)] + [(0, 0)] * 6
         seen = replay_access_series(0.5, 100, 5, steps)
         assert seen["off_grid"] == 4, seen
         # passes: the first fit, three jittered samples, five to flush them
-        assert (seen["margin_passes"], seen["shortcuts"]) == (9, 4), seen
+        assert (seen["fills"], seen["margin_passes"], seen["shortcuts"]) == (4, 9, 1), seen
 
     @pytest.mark.parametrize("t_tti", [0.125, 0.5, 1.0])
     def test_times_at_full_scale_length(self, t_tti):
         # preamble times near 1.05e6 ms, the length of full_scale.scn
-        steps = [(0, 0, False)] * 3 + ([(0, 1, False), (2, 0, False), (0, 0, True)]
-                                       + [(0, 0, False)] * 5 + [(1, 0, False)]) * 3
+        steps = [(0, 0)] * 3 + ([(0, 1), (2, 0)] + [(0, 0)] * 5 + [(1, 0)]) * 3
         seen = replay_access_series(t_tti, 100, 5, steps, start=int(1.05e6 / t_tti))
         assert seen["shortcuts"] > 3 and seen["margin_passes"] > 3, seen
 
@@ -447,8 +463,7 @@ class TestWindowRefit:
         window=st.integers(min_value=2, max_value=12),
         steps=st.lists(
             st.tuples(st.integers(min_value=0, max_value=3),
-                      st.one_of(st.just(0), st.integers(min_value=-1, max_value=2)),
-                      st.booleans()),
+                      st.one_of(st.just(0), st.integers(min_value=-1, max_value=2))),
             min_size=1, max_size=40,
         ),
     )

@@ -56,7 +56,7 @@ class TestRandomStream:
         # estimator on, gated grants; a 47 ms period gives non-zero margins
         "smart_factory_mix": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, twostep_period_ms=47.0,
-        ), 1, "4b32414068a5c6097d5b1fa229ac087491b4985e471c1673437c8038f93db954"),
+        ), 1, "76bb3ec734dd7c569f96fec32bb9979177e590168c1d5a2f2f121c20ea4f3f96"),
         # perfect detection: four-step collisions are the only failures
         "mixed_perfect": (None, dict(
             duration_ms=2_000.0, n_total=24, n_cr=8, estimator_mode="on",
@@ -64,7 +64,8 @@ class TestRandomStream:
             twostep_period_ms=50.0, fourstep_n_ue=200, fourstep_rate_per_s=5.0,
         ), 7, "582e0560c67467ecda6e0a772213ed5207040e78ced841d2850bec104821e7e4"),
         # 50 ms periods, model detection and gated grants: the estimator's
-        # exact-lattice refits run alongside retries, which its gate turns away
+        # exact-lattice updates run alongside retries, which it learns from
+        # by their first-attempt slots
         "estimator_benefit": ("estimator_benefit.scn", dict(
             duration_ms=3_000.0,
         ), 9, "001c9d13339b12f4fdb469f0030f10b3717700387a9995f5545151340a6124a1"),
@@ -430,6 +431,15 @@ class TestAnyValidScenario:
     @example(sc=Scenario(duration_ms=250.0, seed=0, n_cr=2, estimator_mode="on",
                          t_initial_ms=50.0, r_threshold=2, twostep_n_periodic=1,
                          twostep_period_ms=47.0))
+    # An event device classified periodic from two packets: accesses closer
+    # than half its estimated period once shared a tick, and the two-sample
+    # window could not be refit.
+    @example(sc=Scenario(duration_ms=250.0, seed=9, t_tti_ms=0.125, t_p=1, n_total=2,
+                         n_cf=0, n_cr=2, ids_per_cell=1, max_attempts=4,
+                         backoff_avg_ms=0.0, conres_timer_ms=0.0, t_inactive_ms=0.0,
+                         t_initial_ms=50.0, t_up_ms=0.0, r_threshold=2,
+                         twostep_n_event=1, twostep_period_ms=5.0,
+                         twostep_event_rate_per_s=42.0, fourstep_rate_per_s=1.0))
     # No device at all: the smallest pool a scenario accepts.
     @example(sc=Scenario(duration_ms=250.0, seed=0, n_total=1, n_cf=0, n_cr=0))
     @settings(max_examples=200, deadline=None)
@@ -442,3 +452,40 @@ class TestAnyValidScenario:
         second = run_scenario(again)
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(second.to_dict(), sort_keys=True)
+
+
+@st.composite
+def off_slot_gated_scenarios(draw):
+    """Perfect detection and gated grants at a period off the slot grid."""
+    t_tti = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    t_p = draw(st.sampled_from([1, 2, 3]))
+    # a period of 20-200 ms in 0.01 ms steps that is no whole number of slots
+    centi_ms = draw(st.integers(min_value=2_000, max_value=20_000)
+                    .filter(lambda c: c % round(100 * t_tti)))
+    return periodic_gate_scenario(centi_ms / 100, t_tti, t_p)
+
+
+def periodic_gate_scenario(period_ms, t_tti, t_p):
+    return Scenario(
+        duration_ms=10_000.0, detection="perfect", estimator_mode="on",
+        t_tti_ms=t_tti, t_p=t_p, r_threshold=9 if t_p == 2 else 10,
+        twostep_n_periodic=50, twostep_n_event=50, twostep_period_ms=period_ms,
+    )
+
+
+class TestOffSlotPeriodicGate:
+    """With perfect detection a periodic device can lose a packet only to
+    responses the grant gate withholds, so no loss is an exact check of the
+    gate, off the frame and off the slot grid alike."""
+
+    @given(sc=off_slot_gated_scenarios())
+    @example(sc=periodic_gate_scenario(47.0, 0.5, 3))
+    @example(sc=periodic_gate_scenario(77.3, 0.5, 3))
+    @example(sc=periodic_gate_scenario(99.7, 0.25, 2))
+    @example(sc=periodic_gate_scenario(123.45, 1.0, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_perfect_detection_fails_no_periodic_packet(self, sc):
+        report = run_scenario(sc)
+        periodic = report.classes["twostep_periodic"]
+        assert periodic.generated > 0
+        assert periodic.failed == 0
