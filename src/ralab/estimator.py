@@ -18,9 +18,12 @@ window's ticks are absolute period numbers and positions count from
 ``EstimatorState.origin``, so a slide drops the oldest sample, moves the
 origin and rebases the intercept, and rewrites no list.  Until the window
 is full the classification fit stays and only the anchor moves.  Then an
-access on a locked lattice (a zero-margin fit on the 0.125 ms grid) only
-moves the anchor, which is O(1); any other access refits the window with
-:func:`linear_regression` and runs one O(window) margin pass.
+access on a locked lattice only moves the anchor, which is O(1); any other
+access refits the window with :func:`linear_regression` and runs one
+O(window) margin pass.  Whether the lattice is locked (a zero-margin fit
+with a positive slope on the 0.125 ms grid) is state,
+``EstimatorState.locked``: a refit decides it once, and a locked access
+tests only that its sample lands on the lattice point.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ class EstimatorState:
     # once it slides: the intercept is the fitted time at this tick, and
     # small positions keep a rebased intercept bit-identical to a refit
     origin: int = 0
+    # the window's own fit has zero margin and a positive slope, and its
+    # intercept and slope are whole multiples of core.TTI_GRID_MS: set by a
+    # refit, kept by a locked update, cleared by one that misses the lattice
+    locked: bool = False
 
     @property
     def r(self) -> int:
@@ -208,6 +215,7 @@ def classify_traffic_type(
     state.times = []
     state.ticks = []
     state.anchor_tick = state.origin = 0
+    state.locked = False
     return est
 
 
@@ -230,14 +238,17 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     then the classification fit stays in force and the anchor moves onto
     the sample.  Cost: O(1) on a locked lattice, with no regression;
     otherwise one O(window) ``linear_regression`` refit of the window plus
-    one O(window) ``margin_value`` pass.  The lattice is locked when the
-    window was full before the sample, and so held its own fit, its margin
-    is zero, intercept and slope are whole multiples of 0.125 ms and the
-    sample lands exactly on the lattice point.  Every sample then lies on
-    the fitted line, every residual is computed exactly, and least squares
-    over the new window returns that line on the rebased ticks with a zero
-    margin, bit for bit: the update only moves the intercept by the rebase
-    and the anchor onto the sample.
+    one O(window) ``margin_value`` pass.  A refit locks the lattice
+    (``state.locked``) when its margin is zero, its slope positive and its
+    intercept and slope whole multiples of 0.125 ms; a locked update keeps
+    all three, since a slide moves the intercept by whole periods.  A
+    locked sample then needs one test, that it lands exactly on the lattice
+    point.  Every sample then lies on the fitted line, every residual is
+    computed exactly, and least squares over the new window returns that
+    line on the rebased ticks with a zero margin, bit for bit: the update
+    only moves the intercept by the rebase and the anchor onto the sample.
+    A sample off the lattice point refits, and the refit decides the lock
+    afresh.
 
     Each sample carries the number of periods elapsed since the anchor, at
     least one, since each access serves a new packet.  So accesses that skip
@@ -256,10 +267,7 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         if elapsed < 1:  # a new packet: no two samples share a period
             elapsed = 1
         tick = state.anchor_tick + elapsed
-        locked = (len(times) == state.window and est.margin_ms == 0.0
-                  and preamble_time == est.anchor_ms + elapsed * period
-                  and period % core.TTI_GRID_MS == 0
-                  and est.intercept_ms % core.TTI_GRID_MS == 0)
+        locked = state.locked and preamble_time == est.anchor_ms + elapsed * period
     else:
         tick = state.anchor_tick + 1 if times else 0
         locked = False
@@ -280,7 +288,10 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         origin = state.origin
         xs = [k - origin for k in ticks]
         intercept, slope = linear_regression(times, xs)
-        est.margin_ms = margin_value(times, intercept, slope, xs)
-        est.intercept_ms, est.period_ms = intercept, slope
+        margin = margin_value(times, intercept, slope, xs)
+        est.intercept_ms, est.period_ms, est.margin_ms = intercept, slope, margin
         est.anchor_ms = intercept + xs[-1] * slope
+        state.locked = (margin == 0.0 and slope > 0
+                        and slope % core.TTI_GRID_MS == 0
+                        and intercept % core.TTI_GRID_MS == 0)
     return state

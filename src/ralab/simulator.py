@@ -34,7 +34,7 @@ from random import Random
 
 from . import core, estimator, protocol
 from .metrics import ClassMetrics, MetricsReport
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 CLASS_TWOSTEP_PERIODIC = "twostep_periodic"
 CLASS_TWOSTEP_EVENT = "twostep_event"
@@ -75,8 +75,37 @@ class _Ue:
         self.queue: list[float] = []
 
 
+def _check_slot_counts(sc: Scenario) -> None:
+    """Refuse a scenario with a time the engine cannot count in slots.
+
+    The engine turns times into whole slots: the response window, the
+    backoff range (twice its mean), the contention timer, the observation
+    timer, a delivery plus the inactivity timer, and arrival times up to a
+    first arrival plus one period or plus one exponential gap, which is at
+    most 37 mean gaps (``-log`` of the smallest 53-bit draw).  Their sum,
+    in slots, bounds each of them, and must be finite.
+    """
+    spans = {
+        "duration_ms": sc.duration_ms, "rar_window_ms": sc.rar_window_ms,
+        "backoff_avg_ms": 2.0 * sc.backoff_avg_ms, "conres_timer_ms": sc.conres_timer_ms,
+        "t_initial_ms": sc.t_initial_ms, "t_up_ms": sc.t_up_ms,
+        "t_inactive_ms": sc.t_inactive_ms,
+    }
+    if sc.twostep_n_periodic:
+        spans["twostep_period_ms"] = 2.0 * sc.twostep_period_ms
+    for key, n in (("twostep_event_rate_per_s", sc.twostep_n_event),
+                   ("fourstep_rate_per_s", sc.fourstep_n_ue)):
+        if n:
+            spans[key] = 37_000.0 / getattr(sc, key)  # ms, from a rate per s
+    if not math.isfinite(sum(spans.values()) / sc.t_tti_ms):
+        key = max(spans, key=spans.get)
+        raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives a slot count beyond "
+                            f"the float range at t_tti_ms = {sc.t_tti_ms!r}")
+
+
 class _Engine:
     def __init__(self, sc: Scenario, seed: int) -> None:
+        _check_slot_counts(sc)
         self.sc = sc
         self.rng = Random(seed)
         self._random = self.rng.random
@@ -233,13 +262,14 @@ class _Engine:
     # deliveries
 
     def _deliver_ra(self, ue: _Ue, delivery_ms: float) -> None:
+        """Deliver a random-access success whose device queued more packets
+        meanwhile; the resolves deliver one with an empty queue inline."""
         cm = ue.cm
         cm.add_ra_sample(delivery_ms - ue.trigger_arrival)
-        if ue.queue:
-            for arrival in ue.queue:
-                connected = max(delivery_ms, arrival + self.t_up + self.half)
-                cm.add_connected_sample(connected - arrival)
-            ue.queue.clear()
+        for arrival in ue.queue:
+            connected = max(delivery_ms, arrival + self.t_up + self.half)
+            cm.add_connected_sample(connected - arrival)
+        ue.queue.clear()
         ue.in_ra = False
         ue.attempt = 0
         ue.connected_until = delivery_ms + self.t_inactive
@@ -436,9 +466,11 @@ class _Engine:
                         queued.append(ue)
 
     def _resolve_twostep(self, groups: dict[int, list[_Ue]], s: int, perfect: bool) -> None:
-        t_rar = (s + 1) * self.t_tti
+        t_tti = self.t_tti
+        t_rar = (s + 1) * t_tti
         k = self.slot_class[s % core.FRAME_LEN]
-        delivery = s * self.t_tti + self.two_delivery_ms
+        delivery = s * t_tti + self.two_delivery_ms
+        connected_until = delivery + self.t_inactive
         reserved = self.reserved_pid
         gated = self.mode == "on"
         cells, cell_cms, deliver = self.cells, self.cell_cms, self._deliver_ra
@@ -458,26 +490,46 @@ class _Engine:
                     self._retry_twostep(ue, s)
                 continue
             if pid == reserved and gated:
-                transmitting = {ue.uid for ue in ues}
-                granted: set[int] = set()
-                heap = self.pu_heaps[k]  # every device granted below is on it
-                self._grant_due_periodic(heap, t_rar, transmitting, granted)
+                # The grant gate, one pass over class k's heap.  Every gated
+                # device has exactly one entry on the heap of its class, so
+                # the due ones, keyed by uid, are the devices granted now.  A
+                # transmitter among them succeeds and gets a fresh entry; one
+                # not among them has its response withheld; a due device
+                # that did not transmit is granted for nothing and its entry
+                # goes back unchanged.
+                heap = self.pu_heaps[k]
+                heappop, heappush = heapq.heappop, heapq.heappush
+                due = {}
+                while heap and heap[0][0] <= t_rar:
+                    entry = heappop(heap)
+                    due[entry[1]] = entry
                 for ue in ues:
-                    if ue.uid in granted:
-                        ue.cm.necessary += 2
-                        # fit the first attempt's preamble time, which the
-                        # device reports in the packet this grant carries: a
-                        # retry's delay would drag the fit late
-                        estimator.observe_twostep_attempt(
-                            ue.est, (ue.first_slot + 1) * self.t_tti)
-                        record = ue.record
-                        record.t0_last = record.estimate.anchor_ms
-                        heapq.heappush(heap, (protocol.grant_threshold(record), ue.uid, ue))
-                        self._deliver_ra(ue, delivery)
-                    else:
+                    if due.pop(ue.uid, None) is None:
                         # response withheld by the grant rule; looks like a miss
                         ue.cm.unnec_failed += 1
                         self._retry_twostep(ue, s)
+                        continue
+                    cm = ue.cm
+                    cm.necessary += 2
+                    # fit the first attempt's preamble time, which the
+                    # device reports in the packet this grant carries: a
+                    # retry's delay would drag the fit late
+                    estimator.observe_twostep_attempt(ue.est, (ue.first_slot + 1) * t_tti)
+                    record = ue.record
+                    record.t0_last = record.estimate.anchor_ms
+                    heappush(heap, (protocol.grant_threshold(record), ue.uid, ue))
+                    if ue.queue:
+                        deliver(ue, delivery)
+                        continue
+                    cm.add_ra_sample(delivery - ue.trigger_arrival)
+                    ue.in_ra = False
+                    ue.attempt = 0
+                    ue.connected_until = connected_until
+                for entry in due.values():
+                    cm = entry[2].cm
+                    cm.unnec_rar += 1
+                    cm.unnec_grant += 1
+                    heappush(heap, entry)
                 continue
             if pid != reserved:
                 # Every member of event cell (pid, k) is granted, and every
@@ -492,30 +544,15 @@ class _Engine:
             # else oracle mode ("off" registers none on the reserved pid):
             # exact schedule knowledge grants the transmitters only
             for ue in ues:
-                ue.cm.necessary += 2
-                deliver(ue, delivery)
-
-    def _grant_due_periodic(
-        self, heap: list, t_rar: float, transmitting: set[int], granted: set[int]
-    ) -> None:
-        """Grant every periodic device due on ``heap`` (one slot class).
-
-        Each gated device has exactly one entry: a due one that is not
-        transmitting goes back unchanged, and a transmitting one gets a
-        fresh entry after its success.
-        """
-        repush = []
-        while heap and heap[0][0] <= t_rar:
-            entry = heapq.heappop(heap)
-            uid = entry[1]
-            granted.add(uid)
-            if uid not in transmitting:
-                cm = entry[2].cm
-                cm.unnec_rar += 1
-                cm.unnec_grant += 1
-                repush.append(entry)
-        for entry in repush:
-            heapq.heappush(heap, entry)
+                cm = ue.cm
+                cm.necessary += 2
+                if ue.queue:
+                    deliver(ue, delivery)
+                    continue
+                cm.add_ra_sample(delivery - ue.trigger_arrival)
+                ue.in_ra = False
+                ue.attempt = 0
+                ue.connected_until = connected_until
 
     # ------------------------------------------------------------------
 

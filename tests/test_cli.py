@@ -188,6 +188,28 @@ class TestExitCodes:
         assert proc.stderr == "error: duration_ms gives an infinite slot count: 1e+308\n"
         assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
 
+    @pytest.mark.parametrize("pair, key", [
+        ("rar_window_ms=1e308", "rar_window_ms"),
+        ("backoff_avg_ms=6e307", "backoff_avg_ms"),
+        ("conres_timer_ms=1e308", "conres_timer_ms"),
+        ("t_initial_ms=1e308", "t_initial_ms"),
+        ("traffic.twostep.period_ms=1e308", "twostep_period_ms"),
+        ("traffic.twostep.event_rate_per_s=1e-310", "twostep_event_rate_per_s"),
+        ("traffic.fourstep.rate_per_s=1e-310", "fourstep_rate_per_s"),
+    ])
+    def test_time_beyond_the_slot_count_is_exit_1(self, pair, key, capsys):
+        # finite times whose slot counts are not: the engine counts them in
+        # slots, the load models in ms
+        argv = ["--set", "duration_ms=200", "--set", "t_tti_ms=0.125",
+                "--set", "traffic.twostep.n_periodic=2", "--set", "traffic.twostep.n_event=2",
+                "--set", "traffic.fourstep.n_ue=2", "--set", pair]
+        assert main(["--mode", "simulate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = ") and "beyond the float range" in err
+        assert err.count("\n") == 1
+        assert main(["--mode", "analyze", *argv]) == 0
+
+
 class TestReportFiles:
     def test_simulate_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "reports"

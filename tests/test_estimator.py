@@ -314,6 +314,12 @@ class TestObserveTwostepAttempt:
             observe_twostep_attempt(state, preamble_time=1.0)
 
 
+def is_locked_lattice(est):
+    """A zero-margin fit with positive slope, intercept and slope on the 0.125 ms grid."""
+    return (est.margin_ms == 0.0 and est.period_ms > 0
+            and est.period_ms % 0.125 == 0 and est.intercept_ms % 0.125 == 0)
+
+
 def replay_access_series(t_tti, period_slots, window, steps, start=40):
     """Feed a classified periodic device a series of successful accesses.
 
@@ -324,7 +330,12 @@ def replay_access_series(t_tti, period_slots, window, steps, start=40):
     anchor must equal the sample.  Once it is full, the fit must equal
     ``linear_regression`` over the same window, bit for bit, after every
     access: an unlocked update refits with it, and a locked one keeps its
-    line and only rebases the intercept when the window slides.  Returns
+    line and only rebases the intercept when the window slides.  An update
+    must take that shortcut exactly when the window was full and its fit
+    was a locked lattice (zero margin, positive slope and intercept and
+    slope on the 0.125 ms grid) and the sample lands on the lattice point,
+    and ``state.locked`` must be set exactly when the fit after the update
+    is such a lattice.  Returns
     how many updates filled the window, slid it and skipped periods, how
     many full-window updates ran the margin pass and how many skipped it,
     and how many refits fitted a slope off the 0.125 ms grid.
@@ -344,9 +355,15 @@ def replay_access_series(t_tti, period_slots, window, steps, start=40):
         n += 1 + skipped
         t = (start + n * period_slots + jitter + 1) * t_tti
         full = len(state.times) == window
+        est = state.estimate
+        elapsed = max(1, round((t - est.anchor_ms) / est.period_ms))
+        on_lattice = full and is_locked_lattice(est) \
+            and t == est.anchor_ms + elapsed * est.period_ms
         with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
             observe_twostep_attempt(state, t)
         assert state.times[-1] == t  # no sample is turned away
+        assert state.locked == (len(state.times) == window
+                                and is_locked_lattice(state.estimate))
         if full:
             seen["slides"] += 1
         if len(state.ticks) >= 2 and state.ticks[-1] - state.ticks[-2] > 1:
@@ -359,6 +376,7 @@ def replay_access_series(t_tti, period_slots, window, steps, start=40):
             assert est.anchor_ms == t
             continue
         seen["margin_passes" if margin.call_count else "shortcuts"] += 1
+        assert (margin.call_count == 0) == on_lattice
         if est.period_ms % 0.125:
             seen["off_grid"] += 1
         # ticks are absolute period numbers; the fit counts them from origin
@@ -470,3 +488,82 @@ class TestWindowRefit:
     @settings(max_examples=200, deadline=None)
     def test_matches_full_refit(self, t_tti, period_slots, window, steps):
         replay_access_series(t_tti, period_slots, window, steps)
+
+
+class TestLatticeLock:
+    T_TTI, PERIOD_SLOTS, WINDOW, START = 0.5, 100, 4, 40
+
+    def classified(self):
+        state = EstimatorState()
+        for i in range(self.WINDOW):
+            now = (self.START + i * self.PERIOD_SLOTS) * self.T_TTI + 3.0
+            observe_uplink_packet(state, now=now, t_up=3.0, t_tti=self.T_TTI)
+        classify_traffic_type(state, r_threshold=self.WINDOW, var_threshold=0.1, t_p=3,
+                              t_tti=self.T_TTI)
+        return state
+
+    def on_lattice(self, n, jitter=0):
+        return (self.START + n * self.PERIOD_SLOTS + jitter + 1) * self.T_TTI
+
+    def locked(self, accesses=9):
+        # window - 1 fills, then the refit that fills the window locks it
+        state = self.classified()
+        for n in range(self.WINDOW, self.WINDOW + accesses):
+            observe_twostep_attempt(state, self.on_lattice(n))
+        assert state.locked
+        return state
+
+    def test_classification_leaves_the_flag_false(self):
+        # an exact on-grid series: the classification fit is a zero-margin
+        # lattice, yet only the window's own fit may lock
+        state = self.classified()
+        est = state.estimate
+        assert est.margin_ms == 0.0 and est.period_ms == 50.0
+        assert not state.locked
+        # a stale flag does not survive the reset either
+        state = EstimatorState(locked=True)
+        observe_uplink_packet(state, now=10.0)
+        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3,
+                              timer_expired=True)
+        assert not state.locked
+
+    def test_locked_window_refits_to_the_estimate(self):
+        state = self.locked()
+        assert state.origin > 0  # the window slid while locked
+        xs = [k - state.origin for k in state.ticks]
+        intercept, slope = linear_regression(state.times, xs)
+        est = state.estimate
+        assert (est.intercept_ms, est.period_ms) == (intercept, slope)
+        assert margin_value(state.times, intercept, slope, xs) == est.margin_ms == 0.0
+        assert est.anchor_ms == state.times[-1]
+
+    def test_off_lattice_sample_clears_the_flag_and_refits(self):
+        state = self.locked()
+        n = self.WINDOW + 9
+        with mock.patch.object(estimator, "linear_regression",
+                               wraps=linear_regression) as fit:
+            observe_twostep_attempt(state, self.on_lattice(n, jitter=1))
+        assert fit.call_count == 1
+        assert not state.locked and state.estimate.margin_ms > 0.0
+        # exact samples refit until the jittered one leaves the window,
+        # and the refit that drops it locks again
+        for i in range(1, self.WINDOW + 1):
+            with mock.patch.object(estimator, "linear_regression",
+                                   wraps=linear_regression) as fit:
+                observe_twostep_attempt(state, self.on_lattice(n + i))
+            assert fit.call_count == 1
+            assert state.locked == (i == self.WINDOW)
+
+    def test_zero_slope_fit_never_locks(self):
+        # identical times: a zero-margin, on-grid fit with slope 0, which
+        # must not lock, or a locked update would divide by the period
+        state = EstimatorState()
+        for _ in range(3):
+            observe_uplink_packet(state, now=103.0)
+        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3)
+        assert est.kind == "periodic" and est.period_ms == 0.0
+        for _ in range(6):
+            observe_twostep_attempt(state, preamble_time=100.5)
+            assert not state.locked
+        assert state.estimate.period_ms == state.estimate.margin_ms == 0.0
+        assert state.ticks == [3, 4, 5]

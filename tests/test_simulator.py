@@ -57,6 +57,14 @@ class TestRandomStream:
         "smart_factory_mix": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, twostep_period_ms=47.0,
         ), 1, "76bb3ec734dd7c569f96fec32bb9979177e590168c1d5a2f2f121c20ea4f3f96"),
+        # periods off the 0.5 ms slot grid: no window fit locks, so every
+        # update on a full window refits
+        "smart_factory_mix_77_3ms": ("smart_factory_mix.scn", dict(
+            duration_ms=3_000.0, twostep_period_ms=77.3,
+        ), 1, "aed98c96407efa2f247773bc87c8b1c26eb61070c2e28c0862893df4c56b61e8"),
+        "smart_factory_mix_99_7ms": ("smart_factory_mix.scn", dict(
+            duration_ms=3_000.0, twostep_period_ms=99.7,
+        ), 1, "74e59abfd87f1b17d7bb57abd9953315b4c986caad403a301b75d8562b057861"),
         # perfect detection: four-step collisions are the only failures
         "mixed_perfect": (None, dict(
             duration_ms=2_000.0, n_total=24, n_cr=8, estimator_mode="on",
