@@ -248,7 +248,8 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     line on the rebased ticks with a zero margin, bit for bit: the update
     only moves the intercept by the rebase and the anchor onto the sample.
     A sample off the lattice point refits, and the refit decides the lock
-    afresh.
+    afresh.  The lock is tested first: a locked sample exactly one period
+    after the anchor, the common case, needs no division or ``round``.
 
     Each sample carries the number of periods elapsed since the anchor, at
     least one, since each access serves a new packet.  So accesses that skip
@@ -262,7 +263,12 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
         raise ValueError("attempt tracking applies to periodic devices only")
     times, ticks = state.times, state.ticks
     period = est.period_ms
-    if (times or est.anchor_ms) and period > 0:
+    if state.locked and preamble_time == est.anchor_ms + period:
+        # the next lattice point: every value of a locked lattice lies on
+        # the 0.125 ms grid, so the sum is exact and round() would give 1
+        tick = state.anchor_tick + 1
+        locked = True
+    elif (times or est.anchor_ms) and period > 0:
         elapsed = round((preamble_time - est.anchor_ms) / period)
         if elapsed < 1:  # a new packet: no two samples share a period
             elapsed = 1

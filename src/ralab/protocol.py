@@ -92,6 +92,9 @@ class BsRegistry:
         self.ids_per_cell = ids_per_cell
         self.records: dict[int, UeRecord] = {}
         self._cells: dict[tuple[int, int], list[int]] = {}
+        # (pid, t_ind) -> a cell index k at or below the cell's smallest free
+        # one (see allocate_context_id); ids are never released
+        self._free_k: dict[tuple[int, int], int] = {}
         self.grew_capacity = False
         # (load, pid, t_ind) of every event cell, a heap whose stored loads
         # may lag the cells' current ones (see allocate_context_id); sorted,
@@ -167,7 +170,10 @@ def allocate_context_id(
     Event devices take the least-loaded cell among the remaining
     ``n_cr - 1`` preambles (ties to the smallest pid, then offset). Within a
     cell the smallest unused id is assigned; a full cell grows past
-    ``ids_per_cell`` and sets ``registry.grew_capacity``.
+    ``ids_per_cell`` and sets ``registry.grew_capacity``.  The search starts
+    from the cell's last allocated index plus one: ids are never released,
+    so no smaller index frees up, and an id that ``BsRegistry.add``
+    registered directly is stepped over.
 
     The event cell comes from a heap of ``(load, pid, t_ind)`` entries, one
     per cell, refreshed lazily: a top entry whose stored load differs from
@@ -198,14 +204,14 @@ def allocate_context_id(
     else:
         raise ValueError(f"traffic_kind must be 'periodic' or 'event', got {traffic_kind!r}")
 
-    used = {
-        (i - 1) // (n_cr * t_p) for i in registry.ids_for_cell(pid, t_ind)
-    }
-    k = 0
-    while k in used:
+    records, stride = registry.records, n_cr * t_p
+    k = registry._free_k.get((pid, t_ind), 0)
+    id_ = cell_id(pid, t_ind, k, n_total, n_cr, t_p)
+    while id_ in records:
         k += 1
+        id_ += stride
+    registry._free_k[(pid, t_ind)] = k + 1
     if k >= registry.ids_per_cell:
         registry.grew_capacity = True
-    id_ = cell_id(pid, t_ind, k, n_total, n_cr, t_p)
     registry.add(UeRecord(id=id_, pid=pid, t_ind=t_ind, traffic_kind=traffic_kind))
     return id_

@@ -113,7 +113,6 @@ class _Engine:
         self.t_tti = sc.t_tti_ms
         self.half = sc.t_tti_ms / 2.0
         self.n_slots = sc.duration_slots
-        self.t_p = sc.t_p
         self.t_up = sc.t_up_ms
         self.t_inactive = sc.t_inactive_ms
         self.max_attempts = sc.max_attempts
@@ -164,6 +163,12 @@ class _Engine:
         )
         self.reserved_pid = self.registry.reserved_pid
         self.slot_class = core.SLOT_CLASS[sc.t_p]
+        # class_rows[t_ind][r]: core.next_tx_slot from frame slot r, so the
+        # next slot of class t_ind from slot s is s - r + row[r], r = s % FRAME_LEN
+        self.class_rows = [None] + [
+            [core.next_tx_slot(r, sc.t_p, k) for r in range(core.FRAME_LEN)]
+            for k in range(1, sc.t_p + 1)
+        ]
         # (pid, t_ind) -> devices registered in that event (always-grant)
         # cell, counted per class as [event, periodic]
         self.cells: dict[tuple[int, int], list[int]] = {}
@@ -274,6 +279,11 @@ class _Engine:
         ue.attempt = 0
         ue.connected_until = delivery_ms + self.t_inactive
 
+    def _class_slot(self, s: int, t_ind: int) -> int:
+        """``core.next_tx_slot(s, t_p, t_ind)``, read from ``class_rows``."""
+        r = s % core.FRAME_LEN
+        return s - r + self.class_rows[t_ind][r]
+
     def _push_tx(self, ue: _Ue, slot: int) -> None:
         """Queue a preamble; beyond the horizon the packet stays pending."""
         if slot < self.n_slots:
@@ -291,7 +301,7 @@ class _Engine:
             ue.trigger_arrival = ue.queue.pop(0)
             ue.attempt = 1
             if ue.twostep:
-                known_slot = ue.first_slot = core.next_tx_slot(known_slot, self.t_p, ue.t_ind)
+                known_slot = ue.first_slot = self._class_slot(known_slot, ue.t_ind)
             self._push_tx(ue, known_slot)
         else:
             ue.in_ra = False
@@ -316,8 +326,11 @@ class _Engine:
     def _handle_arrivals(self, due: list[_Ue], slot: int) -> None:
         """Serve the packets arriving in ``slot``, in order, and queue each
         device's next one; a next one in this slot joins ``due`` in turn."""
-        t_tti, n_slots, t_p = self.t_tti, self.n_slots, self.t_p
+        t_tti, n_slots = self.t_tti, self.n_slots
         arrival = slot * t_tti + self.half
+        # a two-step access starts in its class's first slot from slot + 1
+        r = (slot + 1) % core.FRAME_LEN
+        base, class_rows = slot + 1 - r, self.class_rows
         # deliveries over an established connection
         delivery = arrival + self.t_up + self.half
         connected = delivery - arrival
@@ -347,7 +360,7 @@ class _Engine:
                 ue.trigger_arrival = arrival
                 t = slot + 1
                 if ue.twostep:
-                    t = ue.first_slot = core.next_tx_slot(t, t_p, ue.t_ind)
+                    t = ue.first_slot = base + class_rows[ue.t_ind][r]
                 # beyond the horizon the packet stays pending
                 if t < n_slots:
                     i = t & mask
@@ -391,7 +404,7 @@ class _Engine:
             self._fail_packet(ue, known)
         else:
             ue.attempt += 1
-            self._push_tx(ue, core.next_tx_slot(known, self.t_p, ue.t_ind))
+            self._push_tx(ue, self._class_slot(known, ue.t_ind))
 
     def _handle_tx(self, txs: list[_Ue], s: int) -> None:
         two_groups: dict[int, list[_Ue]] = {}
@@ -404,7 +417,11 @@ class _Engine:
         detect_prob = self.detect_prob
         for ue in txs:
             if ue.twostep:
-                two_groups.setdefault(ue.pid, []).append(ue)
+                group = two_groups.get(ue.pid)
+                if group is None:
+                    two_groups[ue.pid] = [ue]
+                else:
+                    group.append(ue)
             else:
                 # randrange(n_cb)
                 preamble = getrandbits(k)
@@ -499,6 +516,7 @@ class _Engine:
                 # goes back unchanged.
                 heap = self.pu_heaps[k]
                 heappop, heappush = heapq.heappop, heapq.heappush
+                observe, threshold = estimator.observe_twostep_attempt, protocol.grant_threshold
                 due = {}
                 while heap and heap[0][0] <= t_rar:
                     entry = heappop(heap)
@@ -514,10 +532,10 @@ class _Engine:
                     # fit the first attempt's preamble time, which the
                     # device reports in the packet this grant carries: a
                     # retry's delay would drag the fit late
-                    estimator.observe_twostep_attempt(ue.est, (ue.first_slot + 1) * t_tti)
+                    observe(ue.est, (ue.first_slot + 1) * t_tti)
                     record = ue.record
                     record.t0_last = record.estimate.anchor_ms
-                    heappush(heap, (protocol.grant_threshold(record), ue.uid, ue))
+                    heappush(heap, (threshold(record), ue.uid, ue))
                     if ue.queue:
                         deliver(ue, delivery)
                         continue

@@ -8,9 +8,13 @@ finder is plain bisection, to arbitrate the package's fixed point. The
 two-step detection probability is the per-attempt form the package's vector
 form factors, and the exact four-step fixed point solves the explicit chain
 in 50-digit arithmetic. The balanced event cell is a scan of every cell,
-which the package's allocation heap must agree with.
+which the package's allocation heap must agree with, and the smallest free
+cell index a scan of the cell's ids.  The general access update takes the
+periods elapsed by ``round`` for every sample, which the estimator's
+locked shortcut must agree with.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -44,6 +48,53 @@ def balanced_event_cell(registry):
         ((p, k) for p in registry.event_pids() for k in range(1, registry.t_p + 1)),
         key=lambda cell: (registry.cell_load(*cell), cell[0], cell[1]),
     )
+
+
+def smallest_free_cell_index(registry, pid, t_ind):
+    """The smallest k whose context id in cell (pid, t_ind) is unregistered,
+    by a scan of every id the cell holds."""
+    stride = registry.n_cr * registry.t_p
+    used = {(i - 1) // stride for i in registry.ids_for_cell(pid, t_ind)}
+    k = 0
+    while k in used:
+        k += 1
+    return k
+
+
+def general_twostep_update(state, preamble_time):
+    """A copy of a classified periodic ``EstimatorState`` after one access
+    update, the periods elapsed since the anchor always taken by ``round``
+    and a full window refitted unless the locked line holds the sample."""
+    from ralab.estimator import linear_regression, margin_value
+
+    state = copy.deepcopy(state)
+    est = state.estimate
+    period = est.period_ms
+    if (state.times or est.anchor_ms) and period > 0:
+        elapsed = max(1, round((preamble_time - est.anchor_ms) / period))
+        tick = state.anchor_tick + elapsed
+        locked = state.locked and preamble_time == est.anchor_ms + elapsed * period
+    else:
+        tick = state.anchor_tick + 1 if state.times else 0
+        locked = False
+    state.times.append(preamble_time)
+    state.ticks.append(tick)
+    if len(state.times) > state.window:
+        del state.times[0], state.ticks[0]
+        est.intercept_ms += (state.ticks[0] - state.origin) * period
+        state.origin = state.ticks[0]
+    state.anchor_tick = tick
+    if locked or len(state.times) < state.window:
+        est.anchor_ms = preamble_time
+        return state
+    xs = [k - state.origin for k in state.ticks]
+    intercept, slope = linear_regression(state.times, xs)
+    margin = margin_value(state.times, intercept, slope, xs)
+    est.intercept_ms, est.period_ms, est.margin_ms = intercept, slope, margin
+    est.anchor_ms = intercept + xs[-1] * slope
+    state.locked = (margin == 0.0 and slope > 0 and slope % 0.125 == 0
+                    and intercept % 0.125 == 0)
+    return state
 
 
 def root_by_bisection(h, lo=0.0, hi=1.0):

@@ -5,10 +5,13 @@ attribute its caller looks up, and refuses an attribute that is missing,
 so a renamed or moved function fails every traced repetition.  The
 workloads also reach other module attributes directly.  These tests read
 ``perfbench/workloads.py`` and ``perfbench/worker.py`` (without writing
-bytecode there) and resolve every such name on the package.
+bytecode there) and resolve every such name on the package.  A traced
+simulation run also fails when one of its expected spans records no call,
+so a short run must reach each of them through the wrapped attributes.
 """
 
 import ast
+import dataclasses
 import heapq
 import importlib
 import importlib.util
@@ -94,3 +97,29 @@ def test_every_module_attribute_resolves():
     assert not missing
     # the heap counter stands in for the module the simulator calls through
     assert resolve("simulator", "heapq") is heapq
+
+
+def test_short_periodic_run_reaches_every_simulator_span():
+    """A 2 s run shaped like ``periodic_700``, long enough to classify,
+    calls every simulator-side span of the traced pass at least once, with
+    the wrappers and the heap counter installed as ``perfbench`` installs
+    them: a hot-path change that stops calling one through its module
+    attribute would leave it at 0 calls and fail the traced benchmark."""
+    workloads = load_workloads()
+    spans = sys.modules[workloads.patched.__module__]
+    wl = workloads.Periodic700(seed=1, out_dir=None, traced=True)
+    wl.import_package()
+    wl.make_inputs()
+    sc = dataclasses.replace(wl.sc, duration_ms=2_000.0)
+    tracer, heap = spans.Tracer("contract"), spans.CountingHeapq()
+    replacements = [(owner, attr, tracer.wrap(span, getattr(owner, attr)))
+                    for owner, attr, span in wl.trace_targets()]
+    replacements.append((wl.simulator, "heapq", heap))
+    with spans.patched(replacements):
+        wl.simulator.run_scenario(sc, wl.seeds[0])
+    totals = spans.span_totals(tracer.names, *tracer.arrays())
+    calls = {name: row["calls"] for name, row in totals.items()}
+    calls["simulator.heappush"], calls["simulator.heappop"] = heap.pushes, heap.pops
+    assert set(wl.expected_spans) == set(workloads._SIM_SPANS)
+    silent = [span for span in wl.expected_spans if not calls.get(span)]
+    assert not silent, calls

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import general_twostep_update
 from ralab import estimator
 from ralab.estimator import (
     EstimatorState,
@@ -335,8 +336,9 @@ def replay_access_series(t_tti, period_slots, window, steps, start=40):
     was a locked lattice (zero margin, positive slope and intercept and
     slope on the 0.125 ms grid) and the sample lands on the lattice point,
     and ``state.locked`` must be set exactly when the fit after the update
-    is such a lattice.  Returns
-    how many updates filled the window, slid it and skipped periods, how
+    is such a lattice.  Every update must leave the state bit-equal to the
+    general update of ``oracles``, which takes the periods elapsed by
+    ``round`` for every sample.  Returns how many updates filled the window, slid it and skipped periods, how
     many full-window updates ran the margin pass and how many skipped it,
     and how many refits fitted a slope off the 0.125 ms grid.
     """
@@ -359,8 +361,10 @@ def replay_access_series(t_tti, period_slots, window, steps, start=40):
         elapsed = max(1, round((t - est.anchor_ms) / est.period_ms))
         on_lattice = full and is_locked_lattice(est) \
             and t == est.anchor_ms + elapsed * est.period_ms
+        general = general_twostep_update(state, t)
         with mock.patch.object(estimator, "margin_value", wraps=margin_value) as margin:
             observe_twostep_attempt(state, t)
+        assert repr(state) == repr(general)  # bit for bit
         assert state.times[-1] == t  # no sample is turned away
         assert state.locked == (len(state.times) == window
                                 and is_locked_lattice(state.estimate))
@@ -553,6 +557,24 @@ class TestLatticeLock:
                 observe_twostep_attempt(state, self.on_lattice(n + i))
             assert fit.call_count == 1
             assert state.locked == (i == self.WINDOW)
+
+    @pytest.mark.parametrize("skipped, jitter, rounds", [
+        (0, 0, 0),  # exactly one period after the anchor: no round
+        (2, 0, 1),  # skips two periods, on the lattice
+        (0, 1, 1),  # one period on, but a slot off the lattice point
+        (3, -1, 1),  # skips periods and misses the lattice
+    ])
+    def test_locked_update_matches_the_general_path(self, skipped, jitter, rounds):
+        state = self.locked()
+        n = self.WINDOW + 9 + skipped
+        t = self.on_lattice(n, jitter)
+        general = general_twostep_update(state, t)
+        with mock.patch.object(estimator, "round", create=True, wraps=round) as rnd:
+            observe_twostep_attempt(state, t)
+        assert rnd.call_count == rounds
+        assert repr(state) == repr(general)
+        assert state.locked == (jitter == 0)
+        assert state.ticks[-1] - state.ticks[-2] == 1 + skipped
 
     def test_zero_slope_fit_never_locks(self):
         # identical times: a zero-margin, on-grid fit with slope 0, which

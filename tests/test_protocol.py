@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import balanced_event_cell
+from oracles import balanced_event_cell, smallest_free_cell_index
 from ralab import protocol
 from ralab.estimator import TrafficEstimate
 from ralab.protocol import (
@@ -227,16 +227,23 @@ class TestAllocation:
         ),
     )
     def test_event_cell_matches_full_scan(self, n_cr, t_p, ops):
-        """The lazy heap picks the oracle's cell after any mix of event and
-        periodic allocations and registrations that bypass the allocator."""
+        """The lazy heap picks the oracle's cell, and each allocation the
+        smallest free id of it, after any mix of event and periodic
+        allocations and registrations that bypass the allocator."""
         reg = BsRegistry(n_total=20, n_cr=n_cr, t_p=t_p, ids_per_cell=2)
         for op in ops:
-            if op[0] == "event":
-                want = balanced_event_cell(reg)
-                rec = reg.records[allocate_context_id(reg, "event")]
+            if op[0] in ("event", "periodic"):
+                if op[0] == "event":
+                    want = balanced_event_cell(reg)
+                    k = smallest_free_cell_index(reg, *want)
+                    id_ = allocate_context_id(reg, "event")
+                else:
+                    want = (reg.reserved_pid, min(op[1], t_p))
+                    k = smallest_free_cell_index(reg, *want)
+                    id_ = allocate_context_id(reg, "periodic", preferred_offset=want[1])
+                rec = reg.records[id_]
                 assert (rec.pid, rec.t_ind) == want
-            elif op[0] == "periodic":
-                allocate_context_id(reg, "periodic", preferred_offset=min(op[1], t_p))
+                assert id_ == cell_id(*want, k, reg.n_total, n_cr, t_p)
             else:
                 _, p, t_ind, k = op
                 pid = reg.n_total - n_cr + p % n_cr

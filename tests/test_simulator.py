@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ralab import core, protocol
 from ralab.metrics import MetricsReport
 from ralab.scenario import Scenario, emit_scenario, parse_scenario, read_scenario
-from ralab.simulator import RING_CAP, _Engine, run_scenario, run_seeds
+from ralab.simulator import RING_CAP, _Engine, _Ue, run_scenario, run_seeds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -209,6 +209,29 @@ class TestSlotDiscipline:
             assert core.SLOT_CLASS[3][s % core.FRAME_LEN] == t_ind
             assert (uid, s) not in per_slot, "device sent twice in one slot"
             per_slot.add((uid, s))
+
+    @pytest.mark.parametrize("t_p", [1, 2, 3])
+    def test_next_slot_choice_matches_core(self, t_p):
+        """The slot a two-step access starts or retries in, read from the
+        engine's per-class rows, is core.next_tx_slot's, for every class
+        and every slot of three frames."""
+        eng = _Engine(Scenario(duration_ms=100.0, t_p=t_p, r_threshold=11, estimator_mode="off"),
+                      seed=1)
+        cm = eng.cm["twostep_event"]
+        for t_ind in range(1, t_p + 1):
+            for s in range(3 * core.FRAME_LEN):
+                want = core.next_tx_slot(s, t_p, t_ind)
+                # a retry, or the next packet after a failed one
+                assert eng._class_slot(s, t_ind) == want
+                if s == 0:
+                    continue
+                # a new access by a packet that arrives in slot s - 1
+                ue = _Ue(0, "event", "twostep", cm)
+                ue.rate_per_ms = 1e-3
+                ue.t_ind = t_ind
+                ue.record = protocol.UeRecord(id=1, pid=0, t_ind=t_ind, traffic_kind="event")
+                eng._handle_arrivals([ue], s - 1)
+                assert ue.in_ra and ue.first_slot == want
 
     def test_fourstep_attempts_capped(self, monkeypatch):
         cap = 3
