@@ -20,6 +20,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from ralab.estimator import linear_regression, margin_value
+
 
 def collision_probability_binomial(tau, n_ue, n_cb):
     """P(>= 1 of the other n_ue - 1 devices picks this preamble and slot).
@@ -65,8 +67,6 @@ def general_twostep_update(state, preamble_time):
     """A copy of a classified periodic ``EstimatorState`` after one access
     update, the periods elapsed since the anchor always taken by ``round``
     and a full window refitted unless the locked line holds the sample."""
-    from ralab.estimator import linear_regression, margin_value
-
     state = copy.deepcopy(state)
     est = state.estimate
     period = est.period_ms

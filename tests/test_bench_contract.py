@@ -120,6 +120,5 @@ def test_short_periodic_run_reaches_every_simulator_span():
     totals = spans.span_totals(tracer.names, *tracer.arrays())
     calls = {name: row["calls"] for name, row in totals.items()}
     calls["simulator.heappush"], calls["simulator.heappop"] = heap.pushes, heap.pops
-    assert set(wl.expected_spans) == set(workloads._SIM_SPANS)
-    silent = [span for span in wl.expected_spans if not calls.get(span)]
+    silent = [span for span in workloads._SIM_SPANS if not calls.get(span)]
     assert not silent, calls
