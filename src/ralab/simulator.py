@@ -22,7 +22,8 @@ Conventions (times in ms, slots are ``t_tti`` wide):
   slot start under defaults), the four-step equivalent uses
   ``CP_FOURSTEP_MS`` (``core``'s latency budget);
 * deliveries over an already-established connection complete at
-  ``A + t_up + t_tti/2``;
+  ``A + t_up + t_tti/2``; packets that queued during an access follow its
+  delivery ``D`` over the new connection, at ``max(D, A + t_up + t_tti/2)``;
 * a device stays connected until ``t_inactive`` after its last delivery.
 """
 
@@ -48,7 +49,7 @@ class _Ue:
     """Mutable per-device state; one instance per simulated device."""
 
     __slots__ = (
-        "uid", "true_kind", "periodic", "twostep", "cm",
+        "uid", "periodic", "twostep", "cm",
         "period_ms", "rate_per_ms", "next_arrival_ms",
         "est", "record", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
@@ -57,7 +58,6 @@ class _Ue:
 
     def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
         self.uid = uid
-        self.true_kind = true_kind
         self.periodic = true_kind == "periodic"
         self.twostep = procedure == "twostep"
         self.cm = cm  # the report's counters for this device's class
@@ -84,6 +84,10 @@ def _check_slot_counts(sc: Scenario) -> None:
     first arrival plus one period or plus one exponential gap, which is at
     most 37 mean gaps (``-log`` of the smallest 53-bit draw).  Their sum,
     in slots, bounds each of them, and must be finite.
+
+    It also refuses an arrival clock that cannot advance: a populated
+    class whose period, or mean gap, added to ``duration_ms`` leaves it
+    unchanged would serve one slot's arrivals for ever.
     """
     spans = {
         "duration_ms": sc.duration_ms, "rar_window_ms": sc.rar_window_ms,
@@ -91,16 +95,23 @@ def _check_slot_counts(sc: Scenario) -> None:
         "t_initial_ms": sc.t_initial_ms, "t_up_ms": sc.t_up_ms,
         "t_inactive_ms": sc.t_inactive_ms,
     }
+    gaps = {}  # ms between one device's arrivals: the period, or the mean gap
     if sc.twostep_n_periodic:
         spans["twostep_period_ms"] = 2.0 * sc.twostep_period_ms
+        gaps["twostep_period_ms"] = sc.twostep_period_ms
     for key, n in (("twostep_event_rate_per_s", sc.twostep_n_event),
                    ("fourstep_rate_per_s", sc.fourstep_n_ue)):
         if n:
             spans[key] = 37_000.0 / getattr(sc, key)  # ms, from a rate per s
+            gaps[key] = 1000.0 / getattr(sc, key)
     if not math.isfinite(sum(spans.values()) / sc.t_tti_ms):
         key = max(spans, key=spans.get)
         raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives a slot count beyond "
                             f"the float range at t_tti_ms = {sc.t_tti_ms!r}")
+    for key, gap in gaps.items():
+        if sc.duration_ms + gap == sc.duration_ms:
+            raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives an arrival gap below "
+                                f"the time resolution at duration_ms = {sc.duration_ms!r}")
 
 
 class _Engine:
@@ -266,18 +277,24 @@ class _Engine:
     # ------------------------------------------------------------------
     # deliveries
 
-    def _deliver_ra(self, ue: _Ue, delivery_ms: float) -> None:
-        """Deliver a random-access success whose device queued more packets
-        meanwhile; the resolves deliver one with an empty queue inline."""
-        cm = ue.cm
-        cm.add_ra_sample(delivery_ms - ue.trigger_arrival)
-        for arrival in ue.queue:
-            connected = max(delivery_ms, arrival + self.t_up + self.half)
-            cm.add_connected_sample(connected - arrival)
-        ue.queue.clear()
-        ue.in_ra = False
-        ue.attempt = 0
-        ue.connected_until = delivery_ms + self.t_inactive
+    def _complete(self, done: list[_Ue], delivery_ms: float, signals: int) -> None:
+        """Settle one slot's random-access successes, in order: each costs
+        ``signals`` necessary signals and delivers its packet at
+        ``delivery_ms``, then the packets it queued meanwhile over the new
+        connection, which stays up for ``t_inactive``."""
+        connected_until = delivery_ms + self.t_inactive
+        for ue in done:
+            cm = ue.cm
+            cm.necessary += signals
+            cm.add_ra_sample(delivery_ms - ue.trigger_arrival)
+            if ue.queue:  # packets that arrived during the access
+                for arrival in ue.queue:
+                    connected = max(delivery_ms, arrival + self.t_up + self.half)
+                    cm.add_connected_sample(connected - arrival)
+                ue.queue.clear()
+            ue.in_ra = False
+            ue.attempt = 0
+            ue.connected_until = connected_until
 
     def _class_slot(self, s: int, t_ind: int) -> int:
         """``core.next_tx_slot(s, t_p, t_ind)``, read from ``class_rows``."""
@@ -316,12 +333,7 @@ class _Engine:
                 self._allocate(ue, ue.est.estimate)
             elif kind == "expiry":
                 if ue.est is not None and ue.est.phase == "initial":
-                    est = estimator.classify_traffic_type(
-                        ue.est, self.sc.r_threshold, self.sc.var_threshold,
-                        self.sc.t_p, self.t_tti, timer_expired=True,
-                    )
-                    self.report.classification[f"{ue.true_kind}_as_{est.kind}"] += 1
-                    self._allocate(ue, est)
+                    self._allocate(ue, self._classify(ue, timer_expired=True))
 
     def _handle_arrivals(self, due: list[_Ue], slot: int) -> None:
         """Serve the packets arriving in ``slot``, in order, and queue each
@@ -391,12 +403,20 @@ class _Engine:
         sc = self.sc
         estimator.observe_uplink_packet(ue.est, delivery, sc.t_up_ms, self.t_tti)
         if ue.est.r >= sc.r_threshold:
-            est = estimator.classify_traffic_type(
-                ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, self.t_tti,
-            )
-            self.report.classification[f"{ue.true_kind}_as_{est.kind}"] += 1
+            self._classify(ue)
             alloc_slot = math.ceil((delivery + sc.t_inactive_ms) / self.t_tti)
             self.admin.setdefault(max(alloc_slot, slot + 1), []).append(("alloc", ue))
+
+    def _classify(self, ue: _Ue, timer_expired: bool = False) -> estimator.TrafficEstimate:
+        """End an initial phase: classify the device and count the outcome."""
+        sc = self.sc
+        est = estimator.classify_traffic_type(
+            ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, self.t_tti,
+            timer_expired=timer_expired,
+        )
+        true_kind = "periodic" if ue.periodic else "event"
+        self.report.classification[f"{true_kind}_as_{est.kind}"] += 1
+        return est
 
     def _retry_twostep(self, ue: _Ue, s: int) -> None:
         known = s + self.rar_expiry_slots
@@ -436,8 +456,7 @@ class _Engine:
                     group.append((ue, detected))
         if two_groups:
             self._resolve_twostep(two_groups, s, perfect)
-        delivery = s * self.t_tti + self.four_delivery_ms
-        connected_until = delivery + self.t_inactive
+        done = []
         miss_known = s + self.rar_expiry_slots
         collision_known = s + self.conres_known_slots
         max_attempts, n_slots, tx, mask = self.max_attempts, self.n_slots, self.tx, self.mask
@@ -456,14 +475,7 @@ class _Engine:
                     cm.unnec_failed += 3
                     known = collision_known
                 else:
-                    cm.necessary += 4
-                    if ue.queue:  # packets that arrived during the access
-                        self._deliver_ra(ue, delivery)
-                        continue
-                    cm.add_ra_sample(delivery - ue.trigger_arrival)
-                    ue.in_ra = False
-                    ue.attempt = 0
-                    ue.connected_until = connected_until
+                    done.append(ue)
                     continue
                 if ue.attempt >= max_attempts:
                     self._fail_packet(ue, known)
@@ -481,17 +493,18 @@ class _Engine:
                         tx[i] = [ue]
                     else:
                         queued.append(ue)
+        if done:
+            self._complete(done, s * self.t_tti + self.four_delivery_ms, 4)
 
     def _resolve_twostep(self, groups: dict[int, list[_Ue]], s: int, perfect: bool) -> None:
         t_tti = self.t_tti
         t_rar = (s + 1) * t_tti
         k = self.slot_class[s % core.FRAME_LEN]
-        delivery = s * t_tti + self.two_delivery_ms
-        connected_until = delivery + self.t_inactive
         reserved = self.reserved_pid
         gated = self.mode == "on"
-        cells, cell_cms, deliver = self.cells, self.cell_cms, self._deliver_ra
+        cells, cell_cms = self.cells, self.cell_cms
         detect_prob = self.detect_prob
+        done = []
         for pid, ues in groups.items():
             if perfect:
                 detected = True
@@ -527,8 +540,6 @@ class _Engine:
                         ue.cm.unnec_failed += 1
                         self._retry_twostep(ue, s)
                         continue
-                    cm = ue.cm
-                    cm.necessary += 2
                     # fit the first attempt's preamble time, which the
                     # device reports in the packet this grant carries: a
                     # retry's delay would drag the fit late
@@ -536,20 +547,13 @@ class _Engine:
                     record = ue.record
                     record.t0_last = record.estimate.anchor_ms
                     heappush(heap, (threshold(record), ue.uid, ue))
-                    if ue.queue:
-                        deliver(ue, delivery)
-                        continue
-                    cm.add_ra_sample(delivery - ue.trigger_arrival)
-                    ue.in_ra = False
-                    ue.attempt = 0
-                    ue.connected_until = connected_until
+                    done.append(ue)
                 for entry in due.values():
                     cm = entry[2].cm
                     cm.unnec_rar += 1
                     cm.unnec_grant += 1
                     heappush(heap, entry)
-                continue
-            if pid != reserved:
+            elif pid != reserved:
                 # Every member of event cell (pid, k) is granted, and every
                 # transmitter here is one: the others get a response and a
                 # grant for nothing.
@@ -559,18 +563,13 @@ class _Engine:
                 for cm, n in zip(cell_cms, extras):
                     cm.unnec_rar += n
                     cm.unnec_grant += n
-            # else oracle mode ("off" registers none on the reserved pid):
-            # exact schedule knowledge grants the transmitters only
-            for ue in ues:
-                cm = ue.cm
-                cm.necessary += 2
-                if ue.queue:
-                    deliver(ue, delivery)
-                    continue
-                cm.add_ra_sample(delivery - ue.trigger_arrival)
-                ue.in_ra = False
-                ue.attempt = 0
-                ue.connected_until = connected_until
+                done += ues
+            else:
+                # oracle mode ("off" registers none on the reserved pid):
+                # exact schedule knowledge grants the transmitters only
+                done += ues
+        if done:
+            self._complete(done, s * t_tti + self.two_delivery_ms, 2)
 
     # ------------------------------------------------------------------
 

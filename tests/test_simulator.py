@@ -2,15 +2,18 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ralab import core, protocol
+from ralab import core, estimator, protocol
 from ralab.metrics import MetricsReport
-from ralab.scenario import Scenario, emit_scenario, parse_scenario, read_scenario
+from ralab.scenario import (
+    Scenario, ScenarioError, emit_scenario, parse_scenario, read_scenario,
+)
 from ralab.simulator import RING_CAP, _Engine, _Ue, run_scenario, run_seeds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -324,6 +327,80 @@ class TestWorkedExample:
         # b and idle were granted without transmitting
         assert cm.unnec_rar == 2
         assert cm.unnec_grant == 2
+
+
+class TestCompletionRule:
+    """Every random-access success ends the same way: its packet is
+    delivered, the packets that queued during the access follow over the
+    new connection, and the device stays connected for t_inactive."""
+
+    def one_device(self, path):
+        """An engine whose one device succeeds when it transmits alone, on
+        ``path``, and the necessary signals that success costs."""
+        if path == "fourstep":
+            sc = Scenario(duration_ms=100.0, detection="perfect", fourstep_n_ue=1,
+                          fourstep_rate_per_s=0.001)
+            eng = _Engine(sc, seed=1)
+            return eng, eng.ues[0], 4
+        mode = "on" if path == "gated" else "oracle"
+        kind = "twostep_n_event" if path == "event_cell" else "twostep_n_periodic"
+        sc = Scenario(duration_ms=100.0, n_cr=2, t_p=1, estimator_mode=mode,
+                      detection="perfect", twostep_period_ms=50.0,
+                      twostep_event_rate_per_s=0.001, **{kind: 1})
+        eng = _Engine(sc, seed=1)
+        ue = eng.ues[0]
+        if path == "gated":
+            # an exactly periodic observation phase classifies it periodic
+            for i in range(sc.r_threshold):
+                estimator.observe_uplink_packet(ue.est, 10.0 + 50.0 * i, sc.t_up_ms, eng.t_tti)
+            eng._allocate(ue, estimator.classify_traffic_type(
+                ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, eng.t_tti))
+            assert eng.pu_heaps[ue.t_ind][0][2] is ue
+        assert (ue.pid == eng.reserved_pid) == (path != "event_cell")
+        return eng, ue, 2
+
+    @pytest.mark.parametrize("path", ["fourstep", "gated", "event_cell", "oracle"])
+    def test_queued_packets_follow_the_access(self, path):
+        eng, ue, signals = self.one_device(path)
+        s = 40
+        budget = core.CP_FOURSTEP_MS if signals == 4 else core.CP_TWOSTEP_MS
+        delivery = s * eng.t_tti + budget + eng.t_up - eng.t_tti / 2
+        trigger = s * eng.t_tti - 9.75
+        # one packet queued early in the access, and one so late that its
+        # own uplink ends after the delivery
+        queue = [trigger + 2.5, delivery - eng.t_up]
+        ue.in_ra = True
+        ue.attempt = 2
+        ue.trigger_arrival = trigger
+        ue.first_slot = s
+        ue.queue = list(queue)
+        cm = ue.cm
+        necessary = cm.necessary
+        eng._handle_tx([ue], s)
+
+        assert cm.ra_latency == {delivery - trigger: 1}
+        assert cm.connected_latency == Counter(
+            max(delivery, arrival + eng.t_up + eng.t_tti / 2) - arrival for arrival in queue)
+        assert len(cm.connected_latency) == 2  # both arms of the max
+        assert ue.connected_until == delivery + eng.t_inactive
+        assert not ue.in_ra
+        assert ue.attempt == 0
+        assert ue.queue == []
+        assert cm.necessary - necessary == signals
+
+
+class TestArrivalGap:
+    @pytest.mark.parametrize("fields, key", [
+        (dict(twostep_n_event=1, twostep_event_rate_per_s=1e308), "twostep_event_rate_per_s"),
+        (dict(twostep_n_periodic=1, twostep_period_ms=1e-300), "twostep_period_ms"),
+        (dict(fourstep_n_ue=1, fourstep_rate_per_s=1e308), "fourstep_rate_per_s"),
+        # one slot that every arrival of the run maps to
+        (dict(t_tti_ms=1e308, duration_ms=1e308, fourstep_n_ue=1), "fourstep_rate_per_s"),
+    ], ids=["event_rate", "period", "fourstep_rate", "one_slot"])
+    def test_clock_that_cannot_advance_is_refused(self, fields, key):
+        sc = Scenario(**{"duration_ms": 200.0, "n_cr": 2, **fields})
+        with pytest.raises(ScenarioError, match=f"^{key} = .*arrival gap"):
+            _Engine(sc, 1)
 
 
 class TestGrantGate:
