@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
+from .scenario import ScenarioError
 
 
 class SolverError(RuntimeError):
@@ -140,7 +141,7 @@ def fourstep_params(sc) -> FourStepParams | None:
     """
     if sc.fourstep_n_ue == 0:
         return None
-    return FourStepParams(
+    params = FourStepParams(
         n_ue=sc.fourstep_n_ue,
         rate_per_ms=sc.fourstep_rate_per_s / 1000.0,
         n_cb=sc.n_cb,
@@ -152,6 +153,13 @@ def fourstep_params(sc) -> FourStepParams | None:
         backoff_avg_ms=sc.backoff_avg_ms,
         conres_timer_ms=sc.conres_timer_ms,
     )
+    t_tti, w, bw = params.t_tti_ms, params.rar_window_ms, params.backoff_avg_ms
+    _check_holding_times(params, (
+        {"t_tti_ms": 2.0 * t_tti},
+        {"t_tti_ms": t_tti, "rar_window_ms": w, "backoff_avg_ms": bw},
+        {"conres_timer_ms": params.conres_timer_ms, "backoff_avg_ms": bw},
+    ))
+    return params
 
 
 def twostep_params(sc) -> TwoStepParams | None:
@@ -161,7 +169,7 @@ def twostep_params(sc) -> TwoStepParams | None:
     """
     if sc.twostep_n_event == 0:
         return None
-    return TwoStepParams(
+    params = TwoStepParams(
         n_ue=sc.twostep_n_periodic + sc.twostep_n_event,
         n_event=sc.twostep_n_event,
         rate_per_ms=sc.twostep_event_rate_per_s / 1000.0,
@@ -173,6 +181,29 @@ def twostep_params(sc) -> TwoStepParams | None:
         t_inactive_ms=sc.t_inactive_ms,
         rar_window_ms=sc.rar_window_ms,
     )
+    t_tti = params.t_tti_ms
+    _check_holding_times(params, (
+        {"t_tti_ms": (core.mean_class_stride_slots(params.t_p) + 1.0) * t_tti},
+        {"t_tti_ms": t_tti, "rar_window_ms": params.rar_window_ms},
+    ))
+    return params
+
+
+def _check_holding_times(params: FourStepParams | TwoStepParams, holds) -> None:
+    """Refuse model inputs under which a chain holding time is not finite.
+
+    ``holds`` gives the chain's longest holding times, each as its terms
+    keyed by the duration field (also the scenario key) they come from:
+    the shortest renewal cycle (the idle state, then one preamble state)
+    and each step's failure hold; the connected state's is ``t_up_ms +
+    t_inactive_ms``.  Only the inputs are read, so a sweep over the pool
+    split, which keeps every duration, needs the check once.
+    """
+    for terms in (*holds, {"t_up_ms": params.t_up_ms, "t_inactive_ms": params.t_inactive_ms}):
+        if not math.isfinite(sum(terms.values())):
+            key = max(terms, key=terms.get)
+            raise ScenarioError(f"{key} = {getattr(params, key)!r} gives a model holding "
+                                "time beyond the float range")
 
 
 @dataclass(frozen=True)

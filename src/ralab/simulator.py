@@ -12,6 +12,12 @@ and go ahead of the ring's list for their slot, as they were queued first.
 Memory follows the lookahead and the cap, not the run length.
 Everything a run produces lands in a :class:`~ralab.metrics.MetricsReport`.
 
+The device population is built with the cyclic garbage collector paused.
+The build makes two long-lived containers per device (the device and its
+packet queue) in one burst, which would set off dozens of collections and
+a full one over the whole heap, and the population holds no reference
+cycle, so each of them would find nothing.
+
 Conventions (times in ms, slots are ``t_tti`` wide):
 
 * a packet arriving in slot ``g`` is stamped mid-slot, ``A = g*t_tti + t_tti/2``;
@@ -29,6 +35,7 @@ Conventions (times in ms, slots are ``t_tti`` wide):
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from random import Random
@@ -46,7 +53,12 @@ RING_CAP = 1 << 14
 
 
 class _Ue:
-    """Mutable per-device state; one instance per simulated device."""
+    """Mutable per-device state; one instance per simulated device.
+
+    A four-step device gets only the slots the four-step path reads (it
+    sets ``trigger_arrival`` when an access starts); a two-step device also
+    gets its uid, period, context record, preamble and offset class.
+    """
 
     __slots__ = (
         "uid", "periodic", "twostep", "cm",
@@ -56,23 +68,25 @@ class _Ue:
         "first_slot",  # two-step only: the slot of the packet's first preamble
     )
 
-    def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics) -> None:
-        self.uid = uid
+    def __init__(self, uid: int, true_kind: str, procedure: str, cm: ClassMetrics,
+                 rate_per_ms: float = 0.0, next_arrival_ms: float = 0.0) -> None:
         self.periodic = true_kind == "periodic"
         self.twostep = procedure == "twostep"
         self.cm = cm  # the report's counters for this device's class
-        self.period_ms = 0.0
-        self.rate_per_ms = 0.0
-        self.next_arrival_ms = 0.0
+        self.rate_per_ms = rate_per_ms
+        self.next_arrival_ms = next_arrival_ms
         self.est: estimator.EstimatorState | None = None
-        self.record: protocol.UeRecord | None = None
-        self.pid = -1
-        self.t_ind = 0
         self.connected_until = -math.inf
         self.in_ra = False
         self.attempt = 0
-        self.trigger_arrival = 0.0
         self.queue: list[float] = []
+        if self.twostep:
+            self.uid = uid
+            self.period_ms = 0.0
+            self.record: protocol.UeRecord | None = None
+            self.pid = -1
+            self.t_ind = 0
+            self.trigger_arrival = 0.0
 
 
 def _check_slot_counts(sc: Scenario) -> None:
@@ -191,7 +205,16 @@ class _Engine:
 
         self.admin: dict[int, list[tuple[str, _Ue]]] = {}
         self.ues: list[_Ue] = []
-        self._build_population()
+        # The population holds no reference cycle, so a collection during
+        # its build would find nothing (see the module docstring): pause
+        # the collector, and restore the caller's setting whatever happens.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build_population()
+        finally:
+            if enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # population setup
@@ -200,27 +223,24 @@ class _Engine:
         sc = self.sc
         ues = self.ues
         for _ in range(sc.twostep_n_periodic):
-            ue = _Ue(len(ues), "periodic", "twostep", self.cm[CLASS_TWOSTEP_PERIODIC])
+            ue = _Ue(len(ues), "periodic", "twostep", self.cm[CLASS_TWOSTEP_PERIODIC],
+                     next_arrival_ms=self.rng.uniform(0.0, sc.twostep_period_ms))
             ue.period_ms = sc.twostep_period_ms
-            ue.next_arrival_ms = self.rng.uniform(0.0, sc.twostep_period_ms)
             self._setup_twostep(ue)
             ues.append(ue)
         rate_ms = sc.twostep_event_rate_per_s / 1000.0
         for _ in range(sc.twostep_n_event):
-            ue = _Ue(len(ues), "event", "twostep", self.cm[CLASS_TWOSTEP_EVENT])
-            ue.rate_per_ms = rate_ms
-            ue.next_arrival_ms = self.rng.expovariate(rate_ms)
+            ue = _Ue(len(ues), "event", "twostep", self.cm[CLASS_TWOSTEP_EVENT],
+                     rate_ms, self.rng.expovariate(rate_ms))
             self._setup_twostep(ue)
             ues.append(ue)
         four_rate_ms = sc.fourstep_rate_per_s / 1000.0
         four_cm = self.cm[CLASS_FOURSTEP]
-        random = self._random
+        random, log = self._random, math.log
         for _ in range(sc.fourstep_n_ue):
-            ue = _Ue(len(ues), "event", "fourstep", four_cm)
-            ue.rate_per_ms = four_rate_ms
             # Random.expovariate's own formula, without its call overhead
-            ue.next_arrival_ms = -math.log(1.0 - random()) / four_rate_ms
-            ues.append(ue)
+            ues.append(_Ue(len(ues), "event", "fourstep", four_cm,
+                           four_rate_ms, -log(1.0 - random()) / four_rate_ms))
         # first arrivals, in device order within each slot
         for ue in ues:
             slot = int(ue.next_arrival_ms / self.t_tti)

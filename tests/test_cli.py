@@ -209,6 +209,30 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert main(["--mode", "analyze", *argv]) == 0
 
+    @pytest.mark.parametrize("mode", ["analyze", "optimize"])
+    @pytest.mark.parametrize("overrides, key", [
+        # the idle state and one preamble state already hold 2e308 ms
+        (["traffic.fourstep.n_ue=1", "t_tti_ms=1e308", "duration_ms=1e308"], "t_tti_ms"),
+        (["traffic.twostep.n_event=5", "t_tti_ms=1e308", "duration_ms=1e308"], "t_tti_ms"),
+        # a failed step's hold: response window or contention timer, then backoff
+        (["traffic.fourstep.n_ue=5", "rar_window_ms=1e308", "backoff_avg_ms=1e308"],
+         "rar_window_ms"),
+        (["traffic.fourstep.n_ue=5", "conres_timer_ms=1e308", "backoff_avg_ms=1e308"],
+         "conres_timer_ms"),
+        (["traffic.twostep.n_event=5", "t_up_ms=1e308", "t_inactive_ms=1e308"], "t_up_ms"),
+    ], ids=["fourstep_slot", "twostep_slot", "fourstep_miss", "fourstep_collision",
+            "connected"])
+    def test_holding_time_beyond_the_float_range_is_exit_1(self, mode, overrides, key,
+                                                           capsys):
+        argv = ["--mode", mode]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} = 1e+308 gives a model holding time " \
+            "beyond the float range\n"
+
 
 class TestReportFiles:
     def test_simulate_writes_reports(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Random --set combinations through ``cli.main``, in all four modes.
 
 Every command line must end in exit 0, 1 or 2, with at most one ``error:``
-line on stderr and no traceback.
+line on stderr, no traceback and no ``RuntimeWarning`` (numpy's overflow
+and invalid-value warnings among them).
 """
 
 import contextlib
 import io
 import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,9 +92,13 @@ class TestCommandLineFuzz:
         argv, with_out = case
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv + (["--out", tmp] if with_out else []))
         stderr = err.getvalue()
+        runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not runtime, (argv, runtime)
         assert code in (0, 1, 2), (argv, code)
         assert sum(line.startswith("error:") for line in stderr.splitlines()) <= 1, stderr
         assert "Traceback" not in stderr

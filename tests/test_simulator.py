@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -401,6 +402,110 @@ class TestArrivalGap:
         sc = Scenario(**{"duration_ms": 200.0, "n_cr": 2, **fields})
         with pytest.raises(ScenarioError, match=f"^{key} = .*arrival gap"):
             _Engine(sc, 1)
+
+
+class TestCollectorPause:
+    """Building the population pauses the cyclic collector and restores
+    the caller's setting."""
+
+    SC = Scenario(duration_ms=100.0, n_cr=4, twostep_n_periodic=2, twostep_n_event=2,
+                  fourstep_n_ue=5)
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        """The collector's setting at the test's start; restored after it."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_caller_setting_is_restored(self, collector):
+        _Engine(self.SC, 1)
+        assert gc.isenabled() is collector
+
+    def test_setting_is_restored_when_the_build_raises(self, collector, monkeypatch):
+        def fail(engine, ue):
+            raise RuntimeError("no context")
+
+        monkeypatch.setattr(_Engine, "_setup_twostep", fail)
+        with pytest.raises(RuntimeError, match="no context"):
+            _Engine(self.SC, 1)
+        assert gc.isenabled() is collector
+
+    def test_no_collection_while_24k_devices_are_built(self, monkeypatch):
+        sc = dataclasses.replace(read_scenario(SCENARIOS / "full_scale.scn"),
+                                 duration_ms=1_000.0)
+        assert sc.twostep_n_periodic + sc.twostep_n_event + sc.fourstep_n_ue == 24_000
+        building = False
+        generations = []
+
+        def hook(phase, info):
+            if phase == "start" and building:
+                generations.append(info["generation"])
+
+        build = _Engine._build_population
+
+        def watched(engine):
+            nonlocal building
+            building = True
+            try:
+                build(engine)
+            finally:
+                building = False
+
+        monkeypatch.setattr(_Engine, "_build_population", watched)
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            eng = _Engine(sc, 1)
+        finally:
+            gc.callbacks.remove(hook)
+            if not was:
+                gc.disable()
+        assert len(eng.ues) == 24_000
+        assert generations == []
+
+
+class TestFourStepRecord:
+    """A four-step device carries only the state the four-step path reads."""
+
+    def test_fourstep_device_lacks_the_twostep_slots(self):
+        sc = Scenario(duration_ms=100.0, n_cr=4, twostep_n_event=1, fourstep_n_ue=1)
+        two, four = _Engine(sc, 1).ues
+        for name in ("uid", "record", "pid", "t_ind", "period_ms"):
+            assert hasattr(two, name), name
+            assert not hasattr(four, name), name
+
+    def test_fourstep_run_fails_queues_and_reconnects(self, monkeypatch):
+        # one attempt per packet and a missed preamble about one time in
+        # three: packets that queue during an access are served after its
+        # failure, and a 50 ms connection carries most later packets
+        sc = Scenario(duration_ms=3_000.0, detection="model", n_cr=4, fourstep_n_ue=20,
+                      fourstep_rate_per_s=50.0, max_attempts=1, t_inactive_ms=50.0)
+        queued_at_failure = []
+        queued_at_success = 0
+        fail, complete = _Engine._fail_packet, _Engine._complete
+
+        def watched_fail(engine, ue, known_slot):
+            queued_at_failure.append(len(ue.queue))
+            fail(engine, ue, known_slot)
+
+        def watched_complete(engine, done, delivery_ms, signals):
+            nonlocal queued_at_success
+            queued_at_success += sum(len(ue.queue) for ue in done)
+            complete(engine, done, delivery_ms, signals)
+
+        monkeypatch.setattr(_Engine, "_fail_packet", watched_fail)
+        monkeypatch.setattr(_Engine, "_complete", watched_complete)
+        cm = run_scenario(sc, 5).classes["fourstep"]
+
+        assert max(queued_at_failure) > 0
+        # connected deliveries beyond the packets that queued for an access
+        # went over an established connection
+        assert sum(cm.connected_latency.values()) > queued_at_success
+        assert cm.failed == len(queued_at_failure)
+        assert cm.generated == cm.delivered + cm.failed + cm.pending
 
 
 class TestGrantGate:
