@@ -153,10 +153,10 @@ def fourstep_params(sc) -> FourStepParams | None:
         backoff_avg_ms=sc.backoff_avg_ms,
         conres_timer_ms=sc.conres_timer_ms,
     )
-    t_tti, w, bw = params.t_tti_ms, params.rar_window_ms, params.backoff_avg_ms
+    bw = params.backoff_avg_ms
     _check_holding_times(params, (
-        {"t_tti_ms": 2.0 * t_tti},
-        {"t_tti_ms": t_tti, "rar_window_ms": w, "backoff_avg_ms": bw},
+        {"t_tti_ms": (params.max_attempts + 1) * params.t_tti_ms,
+         "rar_window_ms": params.rar_window_ms, "backoff_avg_ms": bw},
         {"conres_timer_ms": params.conres_timer_ms, "backoff_avg_ms": bw},
     ))
     return params
@@ -181,23 +181,30 @@ def twostep_params(sc) -> TwoStepParams | None:
         t_inactive_ms=sc.t_inactive_ms,
         rar_window_ms=sc.rar_window_ms,
     )
-    t_tti = params.t_tti_ms
+    stride = core.mean_class_stride_slots(params.t_p)
     _check_holding_times(params, (
-        {"t_tti_ms": (core.mean_class_stride_slots(params.t_p) + 1.0) * t_tti},
-        {"t_tti_ms": t_tti, "rar_window_ms": params.rar_window_ms},
+        {"t_tti_ms": (stride + params.max_attempts) * params.t_tti_ms,
+         "rar_window_ms": params.rar_window_ms},
     ))
     return params
 
 
 def _check_holding_times(params: FourStepParams | TwoStepParams, holds) -> None:
-    """Refuse model inputs under which a chain holding time is not finite.
+    """Refuse model inputs under which the chain's holding times overflow.
 
-    ``holds`` gives the chain's longest holding times, each as its terms
-    keyed by the duration field (also the scenario key) they come from:
-    the shortest renewal cycle (the idle state, then one preamble state)
-    and each step's failure hold; the connected state's is ``t_up_ms +
-    t_inactive_ms``.  Only the inputs are read, so a sweep over the pool
-    split, which keeps every duration, needs the check once.
+    Each entry of ``holds`` is a sum of holding times, as its terms keyed
+    by the duration field (also the scenario key) they come from; the
+    connected state's, at most ``t_up_ms + t_inactive_ms``, is added here.
+    Each sum must be finite, and the error names its largest term.
+
+    The first entry bounds the time the chain spends, per visit to the
+    idle state, in the idle state, in every attempt's preamble slot and in
+    the wait after a missed preamble: no state weighs more than the idle
+    state, and the misses weigh less than it together, as attempt ``m`` is
+    missed with probability at most ``exp(-m)`` (``core.detection_prob``).
+    A later step's failure weighs as much as the solved collision
+    probability makes it, so only its own hold is checked.  Only durations
+    are read, so a sweep over the pool split needs the check once.
     """
     for terms in (*holds, {"t_up_ms": params.t_up_ms, "t_inactive_ms": params.t_inactive_ms}):
         if not math.isfinite(sum(terms.values())):
