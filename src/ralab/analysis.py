@@ -23,6 +23,7 @@ total signaling load subject to a failure-probability cap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,6 +187,12 @@ def twostep_params(sc) -> TwoStepParams | None:
         {"t_tti_ms": (stride + params.max_attempts) * params.t_tti_ms,
          "rar_window_ms": params.rar_window_ms},
     ))
+    # slot_avg, the mean slots between packets, is the reciprocal of this
+    # product and must not read 0; the error names the larger factor
+    if not math.isfinite(params.rate_per_ms * params.t_tti_ms):
+        key = "t_tti_ms" if params.t_tti_ms > params.rate_per_ms else "twostep_event_rate_per_s"
+        raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives event packets per slot "
+                            "beyond the float range")
     return params
 
 
@@ -276,21 +283,23 @@ def _connected_state(params: FourStepParams | TwoStepParams) -> tuple[float, flo
     connected state (``p_conn`` is its stay probability).
 
     The leave probability is computed as ``exp(-rate·(t_up_ms +
-    t_inactive_ms))``, which stays positive up to an exponent of about 745.
-    Beyond that it underflows to 0, the chain's connected weight
-    ``1 / (1 - p_conn)`` is infinite, and SolverError is raised.  The
-    holding time ``p_conn / rate`` takes ``p_conn`` from ``expm1``, so it
-    stays positive for rates so tiny that the leave probability rounds to 1.
+    t_inactive_ms))``.  The chain's connected weight is at most
+    ``1 / (1 - p_conn)`` and its time there at most ``p_conn / rate``
+    times that; SolverError is raised when either bound is beyond the
+    float range, which an exponent above about 708 gives.  The holding
+    time ``p_conn / rate`` takes ``p_conn`` from ``expm1``, so it stays
+    positive for rates so tiny that the leave probability rounds to 1.
     """
     lam = params.rate_per_ms
     hold = params.t_up_ms + params.t_inactive_ms
     leave = math.exp(-lam * hold)
-    if leave == 0.0:
+    hold_conn = -math.expm1(-lam * hold) / lam
+    if leave * sys.float_info.max < max(1.0, hold_conn):
         raise SolverError(
             f"rate_per_ms {lam:g} too high: the connected state's leave "
-            "probability underflows to 0, so the chain has no finite solution"
+            f"probability {leave:g} gives the chain no finite solution"
         )
-    return leave, -math.expm1(-lam * hold) / lam
+    return leave, hold_conn
 
 
 def _chain(params: FourStepParams | TwoStepParams, f0: float, hold_idle: float,

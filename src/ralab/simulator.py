@@ -1,15 +1,10 @@
 """Slot-driven Monte Carlo engine for both random-access procedures.
 
 The engine advances one transmission slot at a time and keeps three event
-tables: packet arrivals, preamble transmissions, and administrative events
-(context allocation, observation-timer expiry), the last a dict keyed by
-slot.  The others are slot rings: lists indexed by ``slot & mask``, ``None``
-for an empty slot, a power of two long and covering the larger of
-``RING_CAP`` and the farthest a transmission is queued ahead (response
-window or contention resolution, largest backoff, one frame), or the whole
-run if shorter.  First arrivals and those beyond the ring wait in ``far``
-and go ahead of the ring's list for their slot, as they were queued first.
-Memory follows the lookahead and the cap, not the run length.
+tables, each a dict from a slot to what is due then: packet arrivals,
+preamble transmissions, and administrative events (context allocation,
+observation-timer expiry).  They hold only occupied slots, so memory
+follows the pending events, not the run length.
 Everything a run produces lands in a :class:`~ralab.metrics.MetricsReport`.
 
 The device population is built with the cyclic garbage collector paused.
@@ -47,9 +42,6 @@ from .scenario import Scenario, ScenarioError
 CLASS_TWOSTEP_PERIODIC = "twostep_periodic"
 CLASS_TWOSTEP_EVENT = "twostep_event"
 CLASS_FOURSTEP = "fourstep"
-
-# slot-ring length limit, unless the transmission lookahead needs more
-RING_CAP = 1 << 14
 
 
 class _Ue:
@@ -173,14 +165,6 @@ class _Engine:
         )
         self.two_delivery_ms = core.CP_TWOSTEP_MS + sc.t_up_ms - self.half
         self.four_delivery_ms = core.CP_FOURSTEP_MS + sc.t_up_ms - self.half
-        lookahead = (max(self.rar_expiry_slots, self.conres_known_slots)
-                     + self.backoff_slots_max + core.FRAME_LEN)
-        size = min(self.n_slots, max(lookahead + 1, RING_CAP))
-        size = 1 << (size - 1).bit_length()
-        self.mask = size - 1
-        self.arrivals: list[list[_Ue] | None] = [None] * size
-        self.tx: list[list[_Ue] | None] = [None] * size
-        self.far: dict[int, list[_Ue]] = {}
 
         self.registry = protocol.BsRegistry(
             n_total=sc.n_total, n_cr=sc.n_cr, t_p=sc.t_p,
@@ -203,6 +187,9 @@ class _Engine:
             k: [] for k in range(1, sc.t_p + 1)
         }
 
+        # slot -> what is due then, each list in the order it was queued
+        self.arrivals: dict[int, list[_Ue]] = {}
+        self.tx: dict[int, list[_Ue]] = {}
         self.admin: dict[int, list[tuple[str, _Ue]]] = {}
         self.ues: list[_Ue] = []
         # The population holds no reference cycle, so a collection during
@@ -245,7 +232,7 @@ class _Engine:
         for ue in ues:
             slot = int(ue.next_arrival_ms / self.t_tti)
             if slot < self.n_slots:
-                self.far.setdefault(slot, []).append(ue)
+                self.arrivals.setdefault(slot, []).append(ue)
 
     def _setup_twostep(self, ue: _Ue) -> None:
         sc = self.sc
@@ -324,12 +311,7 @@ class _Engine:
     def _push_tx(self, ue: _Ue, slot: int) -> None:
         """Queue a preamble; beyond the horizon the packet stays pending."""
         if slot < self.n_slots:
-            i = slot & self.mask
-            queued = self.tx[i]
-            if queued is None:
-                self.tx[i] = [ue]
-            else:
-                queued.append(ue)
+            self.tx.setdefault(slot, []).append(ue)
 
     def _fail_packet(self, ue: _Ue, known_slot: int) -> None:
         """Attempt cap hit: drop the packet being served, serve the queue."""
@@ -367,8 +349,7 @@ class _Engine:
         delivery = arrival + self.t_up + self.half
         connected = delivery - arrival
         connected_until = delivery + self.t_inactive
-        arrivals, tx, mask, far = self.arrivals, self.tx, self.mask, self.far
-        horizon = min(slot + len(arrivals), n_slots)  # beyond it, `far`
+        arrivals, tx = self.arrivals, self.tx
         random, log = self._random, math.log
         for ue in due:
             cm = ue.cm
@@ -395,12 +376,7 @@ class _Engine:
                     t = ue.first_slot = base + class_rows[ue.t_ind][r]
                 # beyond the horizon the packet stays pending
                 if t < n_slots:
-                    i = t & mask
-                    queued = tx[i]
-                    if queued is None:
-                        tx[i] = [ue]
-                    else:
-                        queued.append(ue)
+                    tx.setdefault(t, []).append(ue)
             # next packet of this device's process
             if ue.periodic:
                 ue.next_arrival_ms += ue.period_ms
@@ -408,15 +384,8 @@ class _Engine:
                 # Random.expovariate's own formula, without its call overhead
                 ue.next_arrival_ms += -log(1.0 - random()) / ue.rate_per_ms
             t = int(ue.next_arrival_ms / t_tti)
-            if t < horizon:
-                i = t & mask
-                queued = arrivals[i]
-                if queued is None:
-                    arrivals[i] = [ue]
-                else:
-                    queued.append(ue)
-            elif t < n_slots:
-                far.setdefault(t, []).append(ue)
+            if t < n_slots:
+                arrivals.setdefault(t, []).append(ue)
 
     def _observe(self, ue: _Ue, delivery: float, slot: int) -> None:
         """Record an initial-phase packet; classify once enough arrived."""
@@ -479,7 +448,7 @@ class _Engine:
         done = []
         miss_known = s + self.rar_expiry_slots
         collision_known = s + self.conres_known_slots
-        max_attempts, n_slots, tx, mask = self.max_attempts, self.n_slots, self.tx, self.mask
+        max_attempts, n_slots, tx = self.max_attempts, self.n_slots, self.tx
         backoff_n, backoff_bits = self.backoff_n, self.backoff_bits
         for group in four_groups.values():
             entries = iter(group)
@@ -507,12 +476,7 @@ class _Engine:
                     backoff = getrandbits(backoff_bits)
                 t = known + backoff
                 if t < n_slots:
-                    i = t & mask
-                    queued = tx[i]
-                    if queued is None:
-                        tx[i] = [ue]
-                    else:
-                        queued.append(ue)
+                    tx.setdefault(t, []).append(ue)
         if done:
             self._complete(done, s * self.t_tti + self.four_delivery_ms, 4)
 
@@ -594,26 +558,20 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        admin, arrivals, tx, far, mask = self.admin, self.arrivals, self.tx, self.far, self.mask
+        admin, arrivals, tx = self.admin, self.arrivals, self.tx
         handle_admin, handle_arrivals = self._handle_admin, self._handle_arrivals
         handle_tx = self._handle_tx
         for slot in range(self.n_slots):
             events = admin.pop(slot, None)
             if events is not None:
                 handle_admin(events)
-            i = slot & mask
-            due = arrivals[i]
-            early = far.pop(slot, None)
-            if early is not None:  # queued before anything in the ring
-                if due is not None:
-                    early += due
-                arrivals[i] = due = early
+            due = arrivals.get(slot)
             if due is not None:
+                # served in place: a next arrival in this slot joins `due`
                 handle_arrivals(due, slot)
-                arrivals[i] = None
-            txs = tx[i]
+                del arrivals[slot]
+            txs = tx.pop(slot, None)
             if txs is not None:
-                tx[i] = None
                 handle_tx(txs, slot)
         self._finish()
         return self.report

@@ -76,6 +76,32 @@ class TestExitCodes:
         assert err.startswith("error: rate_per_ms 100 too high")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["analyze", "optimize"])
+    @pytest.mark.parametrize("population, key", [
+        ("traffic.fourstep.n_ue", "traffic.fourstep.rate_per_s"),
+        ("traffic.twostep.n_event", "traffic.twostep.event_rate_per_s"),
+    ])
+    @pytest.mark.parametrize("rate", ["92500", "90000"])
+    def test_subnormal_leave_probability_is_exit_1(self, mode, population, key, rate,
+                                                   capsys):
+        # rate * (t_up + t_inactive) = 740 or 720: exp(-740) and exp(-720)
+        # are subnormal, so the connected weight 1 / leave overflows
+        argv = ["--mode", mode, "--set", f"{population}=5", "--set", f"{key}={rate}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: rate_per_ms {float(rate) / 1000:g} too high")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_leave_probability_just_above_the_normal_range_analyzes(self, capsys):
+        # exp(-704) is still a normal float, and the chain solves
+        argv = ["--mode", "analyze", "--set", "traffic.fourstep.n_ue=5",
+                "--set", "traffic.fourstep.rate_per_s=88000"]
+        assert main(argv) == 0
+        assert "fourstep: tau=7.94579610595e-305 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("population, key", [
         ("traffic.fourstep.n_ue", "traffic.fourstep.rate_per_s"),
         ("traffic.twostep.n_event", "traffic.twostep.event_rate_per_s"),
@@ -231,6 +257,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {key} = 1e+308 gives a model holding time " \
+            "beyond the float range\n"
+
+    @pytest.mark.parametrize("mode", ["analyze", "optimize"])
+    def test_event_packets_per_slot_beyond_the_float_range_is_exit_1(self, mode, capsys):
+        # 50 packets per ms in slots of 1e307 ms: the packets per slot
+        # overflow, and the mean slots between packets read 0
+        argv = ["--mode", mode, "--set", "traffic.twostep.n_event=100",
+                "--set", "traffic.twostep.event_rate_per_s=50000",
+                "--set", "t_tti_ms=1e307", "--set", "duration_ms=1e308"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t_tti_ms = 1e+307 gives event packets per slot " \
             "beyond the float range\n"
 
 

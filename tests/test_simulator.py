@@ -15,7 +15,7 @@ from ralab.metrics import MetricsReport
 from ralab.scenario import (
     Scenario, ScenarioError, emit_scenario, parse_scenario, read_scenario,
 )
-from ralab.simulator import RING_CAP, _Engine, _Ue, run_scenario, run_seeds
+from ralab.simulator import _Engine, _Ue, run_scenario, run_seeds
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -96,14 +96,14 @@ class TestRandomStream:
         "smart_factory_off": ("smart_factory_mix.scn", dict(
             duration_ms=3_000.0, estimator_mode="off",
         ), 1, "1b34ef94be2ac48c705e96660100b8c4036e99432eac97e7d452ed8417939652"),
-        # four-step gaps of ~20 s on a 0.125 ms grid: many next arrivals lie
-        # beyond the slot ring and wait in its overflow table
+        # four-step gaps of ~20 s on a 0.125 ms grid: many next arrivals are
+        # queued some 160 000 slots ahead, and many fall beyond the run
         "fourstep_far_arrivals": (None, dict(
             duration_ms=10_000.0, t_tti_ms=0.125, n_cr=4, n_total=30,
             fourstep_n_ue=200, fourstep_rate_per_s=0.05, max_attempts=3,
         ), 3, "d16dadccb7734e261dafcc83a3121c39fc86af76ea8f2547a74cbe5a878851a8"),
-        # a backoff of up to 80 000 slots: the retry lookahead, not a fixed
-        # cap, sizes the ring
+        # a backoff of up to 80 000 slots: retries are queued far ahead,
+        # and some beyond the run, where the packet stays pending
         "fourstep_long_backoff": (None, dict(
             duration_ms=12_000.0, t_tti_ms=0.125, n_cr=4, n_total=20,
             fourstep_n_ue=60, fourstep_rate_per_s=2.0, backoff_avg_ms=5_000.0,
@@ -134,12 +134,24 @@ class TestRandomStream:
 
 class TestEventTables:
     def test_memory_does_not_grow_with_duration(self):
-        # built, not run: 10**8 slots of an empty cell
+        # built, not run: 10**8 slots of an empty cell hold no entry
         sc = Scenario(duration_ms=5e7, n_total=1, n_cf=0, n_cr=0)
         assert sc.duration_slots == 10**8
         eng = _Engine(sc, seed=1)
-        assert 0 < len(eng.arrivals) <= RING_CAP
-        assert 0 < len(eng.tx) <= RING_CAP
+        assert eng.arrivals == {}
+        assert eng.tx == {}
+
+    @pytest.mark.parametrize("name", ["same_slot_arrivals", "fourstep_long_backoff"])
+    def test_tables_empty_after_run(self, name):
+        # nothing is queued at or past n_slots, and every slot's list is
+        # served and removed, next arrivals in the slot being served included
+        _, fields, seed, _ = TestRandomStream.CASES[name]
+        eng = _Engine(dataclasses.replace(Scenario(), **fields), seed)
+        eng.run()
+        for table in ("arrivals", "tx"):
+            left = getattr(eng, table)
+            assert not left, (f"{table} still holds {sum(map(len, left.values()))} "
+                              f"entries, in slots {sorted(left)[:5]} of {eng.n_slots}")
 
 
 class TestConservation:
