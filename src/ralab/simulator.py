@@ -7,11 +7,15 @@ observation-timer expiry).  They hold only occupied slots, so memory
 follows the pending events, not the run length.
 Everything a run produces lands in a :class:`~ralab.metrics.MetricsReport`.
 
-The device population is built with the cyclic garbage collector paused.
-The build makes two long-lived containers per device (the device and its
-packet queue) in one burst, which would set off dozens of collections and
-a full one over the whole heap, and the population holds no reference
-cycle, so each of them would find nothing.
+The population holds only the devices a run can reach: every two-step
+device, since its observation timer and context reach the registry, and
+each four-step device whose first arrival falls inside the run.  One whose
+first arrival falls past the horizon could never act, so it is not built;
+its arrival is still drawn, so the random stream does not depend on the
+horizon.  The build runs with the cyclic garbage collector paused: it makes
+one long-lived container per device in one burst, which would set off
+dozens of collections and a full one over the whole heap, and the
+population holds no reference cycle, so each of them would find nothing.
 
 Conventions (times in ms, slots are ``t_tti`` wide):
 
@@ -43,13 +47,27 @@ CLASS_TWOSTEP_PERIODIC = "twostep_periodic"
 CLASS_TWOSTEP_EVENT = "twostep_event"
 CLASS_FOURSTEP = "fourstep"
 
+# Expected work, in slots plus arrivals, above which a run is refused (see
+# _check_slot_counts).  Each scenario file at its own duration needs under
+# 10**7.  On a 2-core Xeon, 10**9 empty slots take about 90 s (89 ns each)
+# and 10**9 arrivals about an hour (275 000 packets/s on periodic_700).
+MAX_WORK = 1e9
+
+# What every device starts with: never connected, and no queued packet.
+# Both are shared; a device gets its own queue list when a packet first
+# queues during one of its accesses.
+_NEVER = -math.inf
+_NO_QUEUE: tuple[float, ...] = ()
+
 
 class _Ue:
-    """Mutable per-device state; one instance per simulated device.
+    """Mutable per-device state; one instance per device the run can reach.
 
     A four-step device gets only the slots the four-step path reads (it
     sets ``trigger_arrival`` when an access starts); a two-step device also
-    gets its uid, period, context record, preamble and offset class.
+    gets its uid, period, context record, preamble and offset class.  A
+    device starts with the shared ``_NEVER`` and ``_NO_QUEUE``, so it owns
+    no container until a packet queues during one of its accesses.
     """
 
     __slots__ = (
@@ -68,10 +86,10 @@ class _Ue:
         self.rate_per_ms = rate_per_ms
         self.next_arrival_ms = next_arrival_ms
         self.est: estimator.EstimatorState | None = None
-        self.connected_until = -math.inf
+        self.connected_until = _NEVER
         self.in_ra = False
         self.attempt = 0
-        self.queue: list[float] = []
+        self.queue: list[float] | tuple[float, ...] = _NO_QUEUE
         if self.twostep:
             self.uid = uid
             self.period_ms = 0.0
@@ -94,6 +112,11 @@ def _check_slot_counts(sc: Scenario) -> None:
     It also refuses an arrival clock that cannot advance: a populated
     class whose period, or mean gap, added to ``duration_ms`` leaves it
     unchanged would serve one slot's arrivals for ever.
+
+    Last, it refuses a run whose expected work is over ``MAX_WORK``: the
+    slots the run visits plus, for each populated class, its devices times
+    ``duration_ms`` over its period or mean gap.  The error names the key
+    behind the largest term, ``duration_ms`` for the slots.
     """
     spans = {
         "duration_ms": sc.duration_ms, "rar_window_ms": sc.rar_window_ms,
@@ -101,23 +124,32 @@ def _check_slot_counts(sc: Scenario) -> None:
         "t_initial_ms": sc.t_initial_ms, "t_up_ms": sc.t_up_ms,
         "t_inactive_ms": sc.t_inactive_ms,
     }
-    gaps = {}  # ms between one device's arrivals: the period, or the mean gap
+    # key -> (devices, ms between one device's arrivals: the period, or the
+    # mean gap)
+    classes = {}
     if sc.twostep_n_periodic:
         spans["twostep_period_ms"] = 2.0 * sc.twostep_period_ms
-        gaps["twostep_period_ms"] = sc.twostep_period_ms
+        classes["twostep_period_ms"] = (sc.twostep_n_periodic, sc.twostep_period_ms)
     for key, n in (("twostep_event_rate_per_s", sc.twostep_n_event),
                    ("fourstep_rate_per_s", sc.fourstep_n_ue)):
         if n:
             spans[key] = 37_000.0 / getattr(sc, key)  # ms, from a rate per s
-            gaps[key] = 1000.0 / getattr(sc, key)
+            classes[key] = (n, 1000.0 / getattr(sc, key))
     if not math.isfinite(sum(spans.values()) / sc.t_tti_ms):
         key = max(spans, key=spans.get)
         raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives a slot count beyond "
                             f"the float range at t_tti_ms = {sc.t_tti_ms!r}")
-    for key, gap in gaps.items():
+    work = {"duration_ms": sc.duration_ms / sc.t_tti_ms}
+    for key, (n, gap) in classes.items():
         if sc.duration_ms + gap == sc.duration_ms:
             raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives an arrival gap below "
                                 f"the time resolution at duration_ms = {sc.duration_ms!r}")
+        work[key] = n * sc.duration_ms / gap
+    total = sum(work.values())
+    if total > MAX_WORK:
+        key = max(work, key=work.get)
+        raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives {total:.3g} slots and "
+                            f"arrivals to simulate, over the cap of {MAX_WORK:.0e}")
 
 
 class _Engine:
@@ -221,18 +253,35 @@ class _Engine:
                      rate_ms, self.rng.expovariate(rate_ms))
             self._setup_twostep(ue)
             ues.append(ue)
+        # first arrivals, in device order within each slot
+        t_tti, n_slots, arrivals = self.t_tti, self.n_slots, self.arrivals
+        for ue in ues:
+            slot = int(ue.next_arrival_ms / t_tti)
+            if slot < n_slots:
+                arrivals.setdefault(slot, []).append(ue)
         four_rate_ms = sc.fourstep_rate_per_s / 1000.0
         four_cm = self.cm[CLASS_FOURSTEP]
         random, log = self._random, math.log
+        # A draw at or above u_max puts the first arrival past the horizon by
+        # a margin (1e-6 of the horizon, 2**-50 on the draw) far beyond the
+        # rounding of the formula below, so that device is skipped without
+        # the log; below u_max the exact test decides.
+        horizon_ms = n_slots * t_tti
+        u_max = 1.0 - math.exp(-four_rate_ms * horizon_ms * (1.0 + 1e-6)) + 2.0 ** -50
         for _ in range(sc.fourstep_n_ue):
+            # one draw per device, so the stream does not follow the horizon
+            u = random()
+            if u >= u_max:
+                continue
             # Random.expovariate's own formula, without its call overhead
-            ues.append(_Ue(len(ues), "event", "fourstep", four_cm,
-                           four_rate_ms, -log(1.0 - random()) / four_rate_ms))
-        # first arrivals, in device order within each slot
-        for ue in ues:
-            slot = int(ue.next_arrival_ms / self.t_tti)
-            if slot < self.n_slots:
-                self.arrivals.setdefault(slot, []).append(ue)
+            first = -log(1.0 - u) / four_rate_ms
+            # int(first / t_tti) < n_slots, as first >= 0; a device past the
+            # horizon is never built
+            if first / t_tti < n_slots:
+                # uid 0: a four-step device keeps none
+                ue = _Ue(0, "event", "fourstep", four_cm, four_rate_ms, first)
+                ues.append(ue)
+                arrivals.setdefault(int(first / t_tti), []).append(ue)
 
     def _setup_twostep(self, ue: _Ue) -> None:
         sc = self.sc
@@ -358,7 +407,10 @@ class _Engine:
             # in_ra first changes no outcome; a four-step device only ever
             # takes the in_ra, connected and new-access branches.
             if ue.in_ra:
-                ue.queue.append(arrival)
+                if ue.queue:
+                    ue.queue.append(arrival)
+                else:  # the shared empty queue, or one a completion emptied
+                    ue.queue = [arrival]
             elif (ue.twostep and ue.record is None) or arrival <= ue.connected_until:
                 # a two-step device without a context (observation phase, or
                 # classified and waiting for its context) is still on its

@@ -214,6 +214,22 @@ class TestExitCodes:
         assert proc.stderr == "error: duration_ms gives an infinite slot count: 1e+308\n"
         assert [line.startswith("error:") for line in proc.stderr.splitlines()] == [True]
 
+    @pytest.mark.parametrize("pairs, key", [
+        (["--duration-ms", "200", "--set", "traffic.fourstep.n_ue=1",
+          "--set", "traffic.fourstep.rate_per_s=1e16"], "fourstep_rate_per_s"),
+        (["--set", "t_tti_ms=1", "--set", "duration_ms=1e308"], "duration_ms"),
+    ], ids=["fourstep_rate", "empty_slots"])
+    def test_work_over_the_cap_is_exit_1(self, pairs, key):
+        # each of these once ran until killed: 2e15 arrivals, 1e308 empty slots
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ralab.cli", "--mode", "simulate", *pairs],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert re.fullmatch(f"error: {key} = .* over the cap of 1e\\+09\n", proc.stderr)
+
     @pytest.mark.parametrize("pair, key", [
         ("rar_window_ms=1e308", "rar_window_ms"),
         ("backoff_avg_ms=6e307", "backoff_avg_ms"),

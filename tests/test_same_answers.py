@@ -71,3 +71,15 @@ def test_command_list_covers_every_scenario_and_mode():
         "simulate/b", "simulate_47ms/b", "analyze/b", "optimize/b",
         "validate/crossval_fourstep",
     ]
+
+
+def test_full_scale_gets_a_short_horizon_run():
+    runs = dict(same_answers.commands(["full_scale.scn"]))
+    assert list(runs) == [
+        "simulate/full_scale", "simulate_47ms/full_scale", "analyze/full_scale",
+        "optimize/full_scale", "simulate/full_scale_short", "validate/crossval_fourstep",
+    ]
+    assert runs["simulate/full_scale_short"] == [
+        "--mode", "simulate", "--scenario", "scenarios/full_scale.scn",
+        "--seed", "1", "2", "--duration-ms", "500",
+    ]

@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,9 @@ from ralab.metrics import MetricsReport
 from ralab.scenario import (
     Scenario, ScenarioError, emit_scenario, parse_scenario, read_scenario,
 )
-from ralab.simulator import _Engine, _Ue, run_scenario, run_seeds
+from ralab.simulator import (
+    _NO_QUEUE, MAX_WORK, _check_slot_counts, _Engine, _Ue, run_scenario, run_seeds,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -351,7 +354,9 @@ class TestCompletionRule:
         """An engine whose one device succeeds when it transmits alone, on
         ``path``, and the necessary signals that success costs."""
         if path == "fourstep":
-            sc = Scenario(duration_ms=100.0, detection="perfect", fourstep_n_ue=1,
+            # the device's first arrival, 144 s in, falls inside the run, so
+            # the device is built
+            sc = Scenario(duration_ms=1e6, detection="perfect", fourstep_n_ue=1,
                           fourstep_rate_per_s=0.001)
             eng = _Engine(sc, seed=1)
             return eng, eng.ues[0], 4
@@ -416,6 +421,37 @@ class TestArrivalGap:
             _Engine(sc, 1)
 
 
+class TestWorkBound:
+    """A run whose expected slots plus arrivals exceed MAX_WORK is refused
+    before anything is built, naming the key behind the largest term."""
+
+    @pytest.mark.parametrize("fields, key", [
+        (dict(duration_ms=200.0, fourstep_n_ue=1, fourstep_rate_per_s=1e16),
+         "fourstep_rate_per_s"),
+        (dict(duration_ms=200.0, twostep_n_event=1, twostep_event_rate_per_s=1e16),
+         "twostep_event_rate_per_s"),
+        (dict(duration_ms=200.0, twostep_n_periodic=1000, twostep_period_ms=1e-6),
+         "twostep_period_ms"),
+        (dict(t_tti_ms=1.0, duration_ms=1e308), "duration_ms"),
+        (dict(t_tti_ms=1.0, duration_ms=1e12, twostep_n_periodic=1), "duration_ms"),
+    ], ids=["fourstep_rate", "event_rate", "period", "empty_slots", "one_device"])
+    def test_work_over_the_cap_is_refused(self, fields, key):
+        sc = Scenario(**{"n_cr": 2, **fields})
+        with pytest.raises(ScenarioError, match=f"^{key} = .* over the cap of 1e\\+09$"):
+            _Engine(sc, 1)
+
+    def test_cap_is_inclusive(self):
+        # slots alone, no device: exactly MAX_WORK builds, twice it does not
+        empty = Scenario(t_tti_ms=1.0, n_total=1, n_cf=0, n_cr=0)
+        _check_slot_counts(dataclasses.replace(empty, duration_ms=MAX_WORK))
+        with pytest.raises(ScenarioError, match="^duration_ms = "):
+            _check_slot_counts(dataclasses.replace(empty, duration_ms=2 * MAX_WORK))
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_every_scenario_file_is_under_the_cap(self, path):
+        _check_slot_counts(read_scenario(path))
+
+
 class TestCollectorPause:
     """Building the population pauses the cyclic collector and restores
     the caller's setting."""
@@ -445,8 +481,9 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
     def test_no_collection_while_24k_devices_are_built(self, monkeypatch):
+        # every four-step first arrival falls inside 1000 s, so all are built
         sc = dataclasses.replace(read_scenario(SCENARIOS / "full_scale.scn"),
-                                 duration_ms=1_000.0)
+                                 duration_ms=1e6)
         assert sc.twostep_n_periodic + sc.twostep_n_event + sc.fourstep_n_ue == 24_000
         building = False
         generations = []
@@ -483,7 +520,8 @@ class TestFourStepRecord:
     """A four-step device carries only the state the four-step path reads."""
 
     def test_fourstep_device_lacks_the_twostep_slots(self):
-        sc = Scenario(duration_ms=100.0, n_cr=4, twostep_n_event=1, fourstep_n_ue=1)
+        # long enough for the four-step device's first arrival to be built
+        sc = Scenario(duration_ms=1e6, n_cr=4, twostep_n_event=1, fourstep_n_ue=1)
         two, four = _Engine(sc, 1).ues
         for name in ("uid", "record", "pid", "t_ind", "period_ms"):
             assert hasattr(two, name), name
@@ -518,6 +556,86 @@ class TestFourStepRecord:
         assert sum(cm.connected_latency.values()) > queued_at_success
         assert cm.failed == len(queued_at_failure)
         assert cm.generated == cm.delivered + cm.failed + cm.pending
+
+
+class TestReachablePopulation:
+    """The engine builds every two-step device and each four-step device
+    whose first arrival falls inside the run; a device starts on a shared
+    empty queue."""
+
+    def engines(self, seed):
+        """Engines of ``full_scale.scn`` over one slot and over 10**6 ms."""
+        full = read_scenario(SCENARIOS / "full_scale.scn")
+        one_slot = dataclasses.replace(full, duration_ms=full.t_tti_ms)
+        assert one_slot.duration_slots == 1
+        return (_Engine(one_slot, seed),
+                _Engine(dataclasses.replace(full, duration_ms=1e6), seed))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_draw_per_device_whatever_the_horizon(self, seed):
+        short, long = self.engines(seed)
+        assert short.rng.getstate() == long.rng.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_slot_builds_twostep_and_slot_0_fourstep_devices(self, seed):
+        short, long = self.engines(seed)
+        assert len(long.ues) == 24_000
+        n_twostep = short.sc.twostep_n_periodic + short.sc.twostep_n_event
+        assert sum(ue.twostep for ue in short.ues) == n_twostep
+        in_slot_0 = [ue.next_arrival_ms for ue in long.ues
+                     if not ue.twostep and int(ue.next_arrival_ms / long.t_tti) == 0]
+        built = [ue.next_arrival_ms for ue in short.ues if not ue.twostep]
+        assert built == in_slot_0
+        assert 0 < len(built) < 50
+        assert short.arrivals[0][-len(built):] == short.ues[n_twostep:]
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           t_tti=st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+           rate=st.floats(min_value=0.01, max_value=1e4),
+           k=st.integers(min_value=0, max_value=199), inside=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_built_fourstep_devices_match_the_exact_test(self, seed, t_tti, rate, k, inside):
+        # the horizon ends just past device k's first arrival slot, or just
+        # after it: the built devices are those int(first / t_tti) < n_slots
+        # picks, in order, and the stream ends where 200 draws leave it
+        rng = Random(seed)
+        firsts = [-math.log(1.0 - rng.random()) / (rate / 1000.0) for _ in range(200)]
+        n_slots = max(1, int(firsts[k] / t_tti) + inside)
+        sc = Scenario(duration_ms=n_slots * t_tti, t_tti_ms=t_tti, fourstep_n_ue=200,
+                      fourstep_rate_per_s=rate)
+        eng = _Engine(sc, seed)
+        assert eng.n_slots == n_slots
+        assert [ue.next_arrival_ms for ue in eng.ues] == \
+            [first for first in firsts if int(first / t_tti) < n_slots]
+        assert eng.rng.getstate() == rng.getstate()
+
+    def test_queued_packet_makes_a_list(self):
+        sc = Scenario(duration_ms=1e6, detection="perfect", fourstep_n_ue=2)
+        eng = _Engine(sc, 1)
+        ue, idle = eng.ues
+        assert ue.queue is _NO_QUEUE and idle.queue is _NO_QUEUE
+        ue.in_ra = True
+        eng._handle_arrivals([ue], 10)
+        first = ue.queue
+        assert type(first) is list and first == [10 * eng.t_tti + eng.t_tti / 2]
+        eng._handle_arrivals([ue], 11)
+        assert ue.queue is first and len(first) == 2
+        assert idle.queue is _NO_QUEUE
+        assert _NO_QUEUE == ()
+
+    def test_run_leaves_the_shared_queue_empty(self):
+        # packets queue during accesses (see TestFourStepRecord): each
+        # device that queued one holds a list of its own
+        sc = Scenario(duration_ms=3_000.0, detection="model", n_cr=4, fourstep_n_ue=20,
+                      fourstep_rate_per_s=50.0, max_attempts=1, t_inactive_ms=50.0,
+                      twostep_n_event=5, twostep_event_rate_per_s=0.5)
+        eng = _Engine(sc, 5)
+        eng.run()
+        queues = [ue.queue for ue in eng.ues]
+        assert any(type(q) is list for q in queues)
+        assert any(q is _NO_QUEUE for q in queues)
+        assert all(type(q) is list or q is _NO_QUEUE for q in queues)
+        assert _NO_QUEUE == ()
 
 
 class TestGrantGate:

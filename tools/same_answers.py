@@ -11,6 +11,8 @@ The command list covers every scenario in ``CHECKOUT/scenarios``:
 * ``simulate --seed 1 2 --duration-ms 20000``, as given and again with
   ``--set traffic.twostep.period_ms=47`` (off the frame grid);
 * ``analyze`` and ``optimize`` as given;
+* ``simulate --seed 1 2 --duration-ms 500`` on ``full_scale.scn``, where
+  most four-step devices first arrive past the horizon;
 * ``validate`` on ``crossval_fourstep.scn``.
 
 Each run gets its own ``--out`` directory and runs ``python -m ralab.cli``
@@ -39,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIM_ARGS = ("--seed", "1", "2", "--duration-ms", "20000")
 OFF_GRID = ("--set", "traffic.twostep.period_ms=47")
+SHORT_ARGS = ("--seed", "1", "2", "--duration-ms", "500")
 
 
 def commands(scenarios) -> list[tuple[str, list[str]]]:
@@ -53,6 +56,9 @@ def commands(scenarios) -> list[tuple[str, list[str]]]:
                      ["--mode", "simulate", *scn, *SIM_ARGS, *OFF_GRID]))
         runs.append((f"analyze/{stem}", ["--mode", "analyze", *scn]))
         runs.append((f"optimize/{stem}", ["--mode", "optimize", *scn]))
+        if stem == "full_scale":
+            runs.append(("simulate/full_scale_short",
+                         ["--mode", "simulate", *scn, *SHORT_ARGS]))
     runs.append(("validate/crossval_fourstep",
                  ["--mode", "validate", "--scenario", "scenarios/crossval_fourstep.scn"]))
     return runs
