@@ -595,9 +595,9 @@ class TestReachablePopulation:
            k=st.integers(min_value=0, max_value=199), inside=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_built_fourstep_devices_match_the_exact_test(self, seed, t_tti, rate, k, inside):
-        # the horizon ends just past device k's first arrival slot, or just
-        # after it: the built devices are those int(first / t_tti) < n_slots
-        # picks, in order, and the stream ends where 200 draws leave it
+        # the horizon ends just before device k's first-arrival slot, or
+        # just after it: the built devices are those int(first / t_tti) <
+        # n_slots picks, in order, and the stream ends where 200 draws leave it
         rng = Random(seed)
         firsts = [-math.log(1.0 - rng.random()) / (rate / 1000.0) for _ in range(200)]
         n_slots = max(1, int(firsts[k] / t_tti) + inside)
