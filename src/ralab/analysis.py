@@ -387,14 +387,20 @@ def _fourstep_chain(params: FourStepParams, rho_col: float, pm1: np.ndarray):
     )
 
 
-def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> StationarySolution:
+# largest |h(tau)| solve_fourstep accepts at its fixed point
+_RESIDUAL_TOL = 1e-10
+
+
+def solve_fourstep(params: FourStepParams) -> StationarySolution:
     """Solve the four-step chain coupled with the collision fixed point.
 
     Root-finds h(tau) = rhs(tau) - tau on the bracket [0, 1] by Illinois
     false position. The bracket always holds: h(0) = rhs(0) >= 0, and
     h(1) = rhs(1) - 1 < 0 because every preamble state is held for at
     least one TTI and the other states take time too, so a device makes
-    fewer than one detected transmission per slot.
+    fewer than one detected transmission per slot.  At tau = 1 a huge
+    contention timer can overflow the chain's total time to infinity, which
+    still gives rhs(1) = 0, so that one evaluation ignores the overflow.
     """
     detect = np.array([core.detection_prob(m) for m in range(1, params.max_attempts + 1)])
 
@@ -403,7 +409,9 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
         return _fourstep_chain(params, rho, detect)[0] - tau
 
     a, b = 0.0, 1.0
-    ha, hb = h(a), h(b)
+    ha = h(a)
+    with np.errstate(over="ignore"):
+        hb = h(b)
     if not ha >= 0.0 > hb:
         raise SolverError(f"no sign change on [0, 1]: h(0) = {ha:.3e}, h(1) = {hb:.3e}")
     tau, ht = a, ha
@@ -425,8 +433,8 @@ def solve_fourstep(params: FourStepParams, residual_tol: float = 1e-10) -> Stati
                 ha *= 0.5
             side = -1
     residual = abs(ht)
-    if not residual < residual_tol:
-        raise SolverError(f"fixed point residual {residual:.3e} >= {residual_tol:.1e}")
+    if not residual < _RESIDUAL_TOL:
+        raise SolverError(f"fixed point residual {residual:.3e} >= {_RESIDUAL_TOL:.1e}")
 
     rho = collision_probability(tau, params.n_ue, params.n_cb)
     return _solution("fourstep", tau, _fourstep_chain(params, rho, detect)[1], rho, residual)

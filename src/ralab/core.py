@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 FRAME_LEN = 10
-DEFAULT_T_TTI_MS = 0.5
 TTI_GRID_MS = 0.125  # every slot length is a whole multiple of this
 
 # Fixed per-message latency budget of contention-based access (ms):

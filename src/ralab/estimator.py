@@ -55,9 +55,8 @@ class TrafficEstimate:
 
 @dataclass(slots=True)
 class EstimatorState:
-    """Observation state for one device."""
+    """Observation state for one device; classified once ``estimate`` is set."""
 
-    phase: str = "initial"            # "initial" or "post"
     times: list[float] = field(default_factory=list)
     estimate: TrafficEstimate | None = None
     window: int = 0                   # sample cap after classification (0 = none)
@@ -128,7 +127,7 @@ def successive_difference_variance(times) -> float:
     return math.fsum((d - mean) ** 2 for d in diffs) / len(diffs)
 
 
-def preferred_offset(times, t_p: int, t_tti: float = core.DEFAULT_T_TTI_MS) -> int:
+def preferred_offset(times, t_p: int, t_tti: float) -> int:
     """Transmission-slot class that contains most of the observed times.
 
     Each time maps to its frame slot ``s = floor(time / t_tti) mod 10`` and
@@ -148,10 +147,7 @@ def preferred_offset(times, t_p: int, t_tti: float = core.DEFAULT_T_TTI_MS) -> i
 
 
 def observe_uplink_packet(
-    state: EstimatorState,
-    now: float,
-    t_up: float = core.UP_DATA_MS,
-    t_tti: float = core.DEFAULT_T_TTI_MS,
+    state: EstimatorState, now: float, t_up: float, t_tti: float
 ) -> EstimatorState:
     """Record one uplink packet received at ``now`` during the initial phase.
 
@@ -160,7 +156,7 @@ def observe_uplink_packet(
     would have been received.  Nothing is fitted here: the initial-phase
     fit is made once, by :func:`classify_traffic_type`.
     """
-    if state.phase != "initial":
+    if state.estimate is not None:
         raise ValueError("observe_uplink_packet applies to the initial phase only")
     state.times.append(now - t_up + t_tti)
     return state
@@ -171,7 +167,7 @@ def classify_traffic_type(
     r_threshold: int,
     var_threshold: float,
     t_p: int,
-    t_tti: float = core.DEFAULT_T_TTI_MS,
+    t_tti: float,
     timer_expired: bool = False,
 ) -> TrafficEstimate:
     """Classify the device and end its initial phase.
@@ -181,7 +177,7 @@ def classify_traffic_type(
     periodic classification fits the observed samples into the returned
     estimate, which the state also holds.
     """
-    if state.phase != "initial":
+    if state.estimate is not None:
         raise ValueError("device already classified")
     if timer_expired and state.r < r_threshold:
         est = TrafficEstimate(kind="event")
@@ -202,7 +198,6 @@ def classify_traffic_type(
             )
         else:
             est = TrafficEstimate(kind="event")
-    state.phase = "post"
     state.estimate = est
     state.window = max(r_threshold, 2)
     # The initial-phase samples are adjusted uplink times; after
@@ -256,10 +251,10 @@ def observe_twostep_attempt(state: EstimatorState, preamble_time: float) -> Esti
     periods (failed cycles) keep the regression aligned with the device's
     schedule, and the window's positions never all coincide.
     """
-    if state.phase != "post":
-        raise ValueError("observe_twostep_attempt applies after classification")
     est = state.estimate
-    if est is None or est.kind != "periodic":
+    if est is None:
+        raise ValueError("observe_twostep_attempt applies after classification")
+    if est.kind != "periodic":
         raise ValueError("attempt tracking applies to periodic devices only")
     times, ticks = state.times, state.ticks
     period = est.period_ms

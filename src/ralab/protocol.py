@@ -4,7 +4,9 @@ A device keeps a context id while suspended. The id deterministically maps
 to a preamble id and an offset index, so the base station can shortlist
 which devices could have sent a given preamble in a given slot and answer
 each candidate with an individually addressed response, carrying an uplink
-grant only when :func:`grant_threshold` allows it.
+grant only when :func:`grant_threshold` allows it, ``t >= t0 + T - alpha``
+with ``t0`` the estimate's ``anchor_ms``.  The device's estimator state
+alone holds that schedule; a registry row keeps only the id map.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import core
-from .estimator import TrafficEstimate
+from .estimator import EstimatorState
 
 
 class AllocationError(RuntimeError):
@@ -64,10 +66,6 @@ class UeRecord:
     pid: int
     t_ind: int
     traffic_kind: str  # "periodic" or "event"
-    estimate: TrafficEstimate | None = None
-    t0_last: float | None = None  # anchor time of the latest successful access
-    # (the traffic analyzer's fitted reception time; None until the first
-    # success after classification)
 
 
 class BsRegistry:
@@ -143,19 +141,21 @@ def filter_candidates(registry: BsRegistry, pid: int, rx_slot: int) -> list[int]
     return sorted(registry.ids_for_cell(pid, t_ind))
 
 
-def grant_threshold(record: UeRecord) -> float:
-    """Earliest response time at which ``record`` gets an uplink grant.
+def grant_threshold(state: EstimatorState) -> float:
+    """Earliest response time at which the device of ``state`` gets an
+    uplink grant.
 
-    Event devices are never gated (``-inf``). A periodic device is granted
-    only when its next packet is plausibly due, ``t >= t0 + T - alpha``
-    with the estimated period ``T`` and margin ``alpha``; without an
-    estimate or a prior success it is never gated either.
+    A periodic device is granted only when its next packet is plausibly
+    due, ``t >= t0 + T - alpha``: ``t0`` is the estimate's ``anchor_ms``,
+    the fitted reception time of its latest access, ``T`` the estimated
+    period and ``alpha`` the margin.  A device that is not classified yet,
+    is classified as event traffic, or has had no access since its
+    classification is never gated (``-inf``).
     """
-    est = record.estimate
-    if (record.traffic_kind == "event" or est is None or est.kind != "periodic"
-            or record.t0_last is None):
+    est = state.estimate
+    if est is None or est.kind != "periodic" or not state.times:
         return -math.inf
-    return record.t0_last + est.period_ms - est.margin_ms
+    return est.anchor_ms + est.period_ms - est.margin_ms
 
 
 def allocate_context_id(

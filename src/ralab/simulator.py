@@ -291,17 +291,10 @@ class _Engine:
             self.admin.setdefault(expiry_slot, []).append(("expiry", ue))
             return
         if sc.estimator_mode == "oracle" and ue.periodic:
-            est = estimator.TrafficEstimate(
-                kind="periodic",
-                period_ms=ue.period_ms,
-                intercept_ms=ue.next_arrival_ms,
-                margin_ms=0.0,
-                preferred_offset=self._oracle_offset(ue),
-            )
+            self._allocate(ue, "periodic", self._oracle_offset(ue))
         else:
             # "off" treats every two-step device as event traffic
-            est = estimator.TrafficEstimate(kind="event")
-        self._allocate(ue, est)
+            self._allocate(ue, "event", None)
 
     def _oracle_offset(self, ue: _Ue) -> int:
         """The offset class an exact observer of the pattern would pick."""
@@ -311,21 +304,17 @@ class _Engine:
             stamps.append((g + 2) * self.t_tti)
         return estimator.preferred_offset(stamps, self.sc.t_p, self.t_tti)
 
-    def _allocate(self, ue: _Ue, est: estimator.TrafficEstimate) -> None:
-        id_ = protocol.allocate_context_id(
-            self.registry,
-            est.kind,
-            preferred_offset=est.preferred_offset if est.kind == "periodic" else None,
-        )
+    def _allocate(self, ue: _Ue, kind: str, preferred_offset: int | None) -> None:
+        """Register ``ue`` as ``kind`` traffic and enter it in the grant structures."""
+        id_ = protocol.allocate_context_id(self.registry, kind, preferred_offset)
         record = self.registry.records[id_]
-        record.estimate = est
         ue.record = record
         ue.pid = record.pid
         ue.t_ind = record.t_ind
-        if est.kind == "periodic" and self.mode == "on":
+        if kind == "periodic" and self.mode == "on":
             heapq.heappush(self.pu_heaps[ue.t_ind],
-                           (protocol.grant_threshold(record), ue.uid, ue))
-        elif est.kind != "periodic":
+                           (protocol.grant_threshold(ue.est), ue.uid, ue))
+        elif kind != "periodic":
             self.cells.setdefault((ue.pid, ue.t_ind), [0, 0])[ue.periodic] += 1
         # oracle-mode periodic devices need no lookup structure: the grant
         # decision falls out of exact knowledge of who is transmitting
@@ -380,11 +369,12 @@ class _Engine:
 
     def _handle_admin(self, events: list[tuple[str, _Ue]]) -> None:
         for kind, ue in events:
-            if kind == "alloc":
-                self._allocate(ue, ue.est.estimate)
-            elif kind == "expiry":
-                if ue.est is not None and ue.est.phase == "initial":
-                    self._allocate(ue, self._classify(ue, timer_expired=True))
+            if kind == "expiry":
+                if ue.est.estimate is not None:
+                    continue  # classified in time: its "alloc" event registers it
+                self._classify(ue, timer_expired=True)
+            est = ue.est.estimate
+            self._allocate(ue, est.kind, est.preferred_offset)
 
     def _handle_arrivals(self, due: list[_Ue], slot: int) -> None:
         """Serve the packets arriving in ``slot``, in order, and queue each
@@ -417,7 +407,7 @@ class _Engine:
                 # initial connection
                 cm.add_connected_sample(connected)
                 ue.connected_until = connected_until
-                if ue.est is not None and ue.est.phase == "initial":
+                if ue.est is not None and ue.est.estimate is None:
                     self._observe(ue, delivery, slot)
             else:
                 ue.in_ra = True
@@ -448,7 +438,7 @@ class _Engine:
             alloc_slot = math.ceil((delivery + sc.t_inactive_ms) / self.t_tti)
             self.admin.setdefault(max(alloc_slot, slot + 1), []).append(("alloc", ue))
 
-    def _classify(self, ue: _Ue, timer_expired: bool = False) -> estimator.TrafficEstimate:
+    def _classify(self, ue: _Ue, timer_expired: bool = False) -> None:
         """End an initial phase: classify the device and count the outcome."""
         sc = self.sc
         est = estimator.classify_traffic_type(
@@ -457,7 +447,6 @@ class _Engine:
         )
         true_kind = "periodic" if ue.periodic else "event"
         self.report.classification[f"{true_kind}_as_{est.kind}"] += 1
-        return est
 
     def _retry_twostep(self, ue: _Ue, s: int) -> None:
         known = s + self.rar_expiry_slots
@@ -580,9 +569,7 @@ class _Engine:
                     # device reports in the packet this grant carries: a
                     # retry's delay would drag the fit late
                     observe(ue.est, (ue.first_slot + 1) * t_tti)
-                    record = ue.record
-                    record.t0_last = record.estimate.anchor_ms
-                    heappush(heap, (threshold(record), ue.uid, ue))
+                    heappush(heap, (threshold(ue.est), ue.uid, ue))
                     done.append(ue)
                 for entry in due.values():
                     cm = entry[2].cm

@@ -10,7 +10,7 @@ import io
 import tempfile
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ralab.cli import main
@@ -80,8 +80,25 @@ def command_lines(draw):
     return argv, draw(st.booleans())
 
 
+# Lines the draws reach only by chance.  At 1 ms slots, a horizon far over
+# the simulator's work cap, and one just over it, each reach the cap's slot
+# half: with no device, or (validate needs one) with a device so slow that
+# its arrival gap stays above the horizon's resolution.  A contention timer
+# of 5e307 ms overflows the four-step chain's total time at tau = 1.
+SLOT_CAP_FAR = ["--set", "t_tti_ms=1.0", "--set", "duration_ms=1e308"]
+SLOW_DEVICE = ["--set", "traffic.fourstep.n_ue=1", "--set", "traffic.fourstep.rate_per_s=1e-300"]
+SLOT_CAP_NEAR = ["--set", "t_tti_ms=1.0", "--set", "duration_ms=2e9"]
+ANALYZE_OVERFLOW = ["--set", "traffic.fourstep.n_ue=2000",
+                    "--set", "traffic.fourstep.rate_per_s=5000",
+                    "--set", "n_cr=50", "--set", "conres_timer_ms=5e307"]
+
+
 class TestCommandLineFuzz:
     @given(case=command_lines())
+    @example(case=(["--mode", "simulate", *SLOT_CAP_FAR], False))
+    @example(case=(["--mode", "validate", *SLOT_CAP_FAR, *SLOW_DEVICE], False))
+    @example(case=(["--mode", "simulate", *SLOT_CAP_NEAR], False))
+    @example(case=(["--mode", "analyze", *ANALYZE_OVERFLOW], False))
     @settings(max_examples=200, deadline=None)
     def test_every_command_line_ends_cleanly(self, case):
         argv, with_out = case

@@ -99,22 +99,22 @@ class TestPreferredOffset:
         return [0.5 * s for s in slots]
 
     def test_single_class_period(self):
-        assert preferred_offset(self.slots_to_times([4, 9, 2]), t_p=1) == 1
+        assert preferred_offset(self.slots_to_times([4, 9, 2]), t_p=1, t_tti=0.5) == 1
 
     def test_period_three_tally(self):
         times = self.slots_to_times([1, 4, 7, 2, 1])
-        assert preferred_offset(times, t_p=3) == 1
+        assert preferred_offset(times, t_p=3, t_tti=0.5) == 1
 
     def test_period_two_tally(self):
         times = self.slots_to_times([0, 2, 1])
-        assert preferred_offset(times, t_p=2) == 1
+        assert preferred_offset(times, t_p=2, t_tti=0.5) == 1
 
     def test_slot_zero_counts_toward_first_class(self):
-        assert preferred_offset(self.slots_to_times([0, 0, 3]), t_p=3) == 1
+        assert preferred_offset(self.slots_to_times([0, 0, 3]), t_p=3, t_tti=0.5) == 1
 
     def test_tie_takes_smallest_class(self):
-        assert preferred_offset(self.slots_to_times([1, 2]), t_p=3) == 1
-        assert preferred_offset(self.slots_to_times([5, 4]), t_p=3) == 1
+        assert preferred_offset(self.slots_to_times([1, 2]), t_p=3, t_tti=0.5) == 1
+        assert preferred_offset(self.slots_to_times([5, 4]), t_p=3, t_tti=0.5) == 1
 
     @given(
         slots=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=25),
@@ -123,11 +123,11 @@ class TestPreferredOffset:
     )
     def test_range_and_permutation_invariance(self, slots, t_p, seed):
         times = [0.5 * s for s in slots]
-        k = preferred_offset(times, t_p)
+        k = preferred_offset(times, t_p, 0.5)
         assert 1 <= k <= t_p
         shuffled = times[:]
         random.Random(seed).shuffle(shuffled)
-        assert preferred_offset(shuffled, t_p) == k
+        assert preferred_offset(shuffled, t_p, 0.5) == k
 
     def test_matches_slot_class_membership(self):
         # Every slot inside class k must map to k on its own.
@@ -136,7 +136,7 @@ class TestPreferredOffset:
         for t_p in (2, 3):
             for s, t_ind in enumerate(core.SLOT_CLASS[t_p]):
                 if t_ind:
-                    assert preferred_offset([0.5 * s], t_p) == t_ind
+                    assert preferred_offset([0.5 * s], t_p, 0.5) == t_ind
 
     def test_minimizes_waiting_for_aligned_periodic_input(self):
         # A device whose packets always land in frame slot s waits least by
@@ -146,7 +146,7 @@ class TestPreferredOffset:
         for t_p in (2, 3):
             for s in range(10):
                 times = [0.5 * (s + 10 * i) for i in range(5)]
-                k = preferred_offset(times, t_p)
+                k = preferred_offset(times, t_p, 0.5)
                 waits = {}
                 for t_ind in range(1, t_p + 1):
                     waits[t_ind] = core.next_tx_slot(s + 20, t_p, t_ind) - (s + 20)
@@ -163,17 +163,17 @@ class TestObserveUplinkPacket:
     def test_classification_stores_the_fit(self):
         state = EstimatorState()
         for i in range(3):
-            observe_uplink_packet(state, now=10.0 + 50.0 * i)
+            observe_uplink_packet(state, now=10.0 + 50.0 * i, t_up=3.0, t_tti=0.5)
         assert state.estimate is None  # recording only: no fit before classification
-        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3)
+        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3, t_tti=0.5)
         assert est.kind == "periodic"
         assert state.estimate is est
         assert est.period_ms == pytest.approx(50.0)
 
     def test_rejected_after_classification(self):
-        state = EstimatorState(phase="post")
+        state = EstimatorState(estimate=estimator.TrafficEstimate(kind="event"))
         with pytest.raises(ValueError):
-            observe_uplink_packet(state, now=1.0)
+            observe_uplink_packet(state, now=1.0, t_up=3.0, t_tti=0.5)
 
 
 def periodic_state(n=10, period=50.0, start=10.0, jitter=None):
@@ -182,18 +182,18 @@ def periodic_state(n=10, period=50.0, start=10.0, jitter=None):
         t = start + period * i
         if jitter:
             t += jitter[i % len(jitter)]
-        observe_uplink_packet(state, now=t)
+        observe_uplink_packet(state, now=t, t_up=3.0, t_tti=0.5)
     return state
 
 
 class TestClassifyTrafficType:
     def test_periodic_input(self):
         state = periodic_state(n=10, period=50.0)
-        est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+        est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
         assert est.kind == "periodic"
         assert est.period_ms == pytest.approx(50.0)
         assert est.margin_ms == pytest.approx(0.0, abs=1e-9)
-        assert state.phase == "post"
+        assert state.estimate is not None
 
     def test_poisson_input_classified_event(self):
         rng = random.Random(123)
@@ -203,8 +203,8 @@ class TestClassifyTrafficType:
             t = 0.0
             for _ in range(10):
                 t += rng.expovariate(6.8 / 1000.0)
-                observe_uplink_packet(state, now=t)
-            est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+                observe_uplink_packet(state, now=t, t_up=3.0, t_tti=0.5)
+            est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
             if est.kind != "event":
                 misclassified += 1
         assert misclassified == 0
@@ -212,24 +212,24 @@ class TestClassifyTrafficType:
     def test_timer_expiry_is_event(self):
         state = periodic_state(n=3)
         est = classify_traffic_type(
-            state, r_threshold=10, var_threshold=0.1, t_p=3, timer_expired=True
+            state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5, timer_expired=True
         )
         assert est.kind == "event"
 
     def test_sample_count_enforced(self):
         state = periodic_state(n=4)
         with pytest.raises(ValueError):
-            classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+            classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
 
     def test_double_classification_rejected(self):
         state = periodic_state(n=10)
-        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
         with pytest.raises(ValueError):
-            classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+            classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
 
     def test_preferred_offset_present(self):
         state = periodic_state(n=10, period=50.0, start=10.0)
-        est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+        est = classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
         # adjusted times 7.5 + 50 i -> frame slot 5 for every sample -> class 2
         assert est.preferred_offset == 2
 
@@ -237,7 +237,7 @@ class TestClassifyTrafficType:
 class TestObserveTwostepAttempt:
     def classified(self):
         state = periodic_state(n=10, period=50.0, start=10.0)
-        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3)
+        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5)
         return state
 
     def test_window_restarts_on_access_samples(self):
@@ -284,7 +284,7 @@ class TestObserveTwostepAttempt:
         # each access serves a new packet; in a two-sample window, two
         # samples on one tick would leave no positions to regress against
         state = periodic_state(n=2, period=50.0, start=10.0)
-        classify_traffic_type(state, r_threshold=2, var_threshold=0.1, t_p=3)
+        classify_traffic_type(state, r_threshold=2, var_threshold=0.1, t_p=3, t_tti=0.5)
         for t in (108.0, 120.0, 130.0):  # 12 and 10 ms apart at a 50 ms period
             observe_twostep_attempt(state, preamble_time=t)
         assert state.ticks == [2, 3]
@@ -309,8 +309,7 @@ class TestObserveTwostepAttempt:
         assert twin == state
 
     def test_event_devices_rejected(self):
-        state = EstimatorState(phase="post")
-        state.estimate = estimator.TrafficEstimate(kind="event")
+        state = EstimatorState(estimate=estimator.TrafficEstimate(kind="event"))
         with pytest.raises(ValueError):
             observe_twostep_attempt(state, preamble_time=1.0)
 
@@ -526,8 +525,8 @@ class TestLatticeLock:
         assert not state.locked
         # a stale flag does not survive the reset either
         state = EstimatorState(locked=True)
-        observe_uplink_packet(state, now=10.0)
-        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3,
+        observe_uplink_packet(state, now=10.0, t_up=3.0, t_tti=0.5)
+        classify_traffic_type(state, r_threshold=10, var_threshold=0.1, t_p=3, t_tti=0.5,
                               timer_expired=True)
         assert not state.locked
 
@@ -581,8 +580,8 @@ class TestLatticeLock:
         # must not lock, or a locked update would divide by the period
         state = EstimatorState()
         for _ in range(3):
-            observe_uplink_packet(state, now=103.0)
-        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3)
+            observe_uplink_packet(state, now=103.0, t_up=3.0, t_tti=0.5)
+        est = classify_traffic_type(state, r_threshold=3, var_threshold=0.1, t_p=3, t_tti=0.5)
         assert est.kind == "periodic" and est.period_ms == 0.0
         for _ in range(6):
             observe_twostep_attempt(state, preamble_time=100.5)

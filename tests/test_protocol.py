@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import balanced_event_cell, smallest_free_cell_index
 from ralab import protocol
-from ralab.estimator import TrafficEstimate
+from ralab.estimator import EstimatorState, TrafficEstimate
 from ralab.protocol import (
     AllocationError,
     BsRegistry,
@@ -140,31 +140,36 @@ class TestFilterCandidates:
 
 
 class TestRarGrantDecision:
-    """A response carries the grant iff its time t >= grant_threshold(record)."""
+    """A response carries the grant iff its time t >= grant_threshold(state)."""
 
     def make_periodic(self, t0, period, margin):
-        rec = UeRecord(id=1, pid=63, t_ind=1, traffic_kind="periodic", t0_last=t0)
-        rec.estimate = TrafficEstimate(kind="periodic", period_ms=period, margin_ms=margin)
-        return rec
+        """A periodic device whose latest access was anchored at ``t0``
+        (``None``: no access since classification)."""
+        est = TrafficEstimate(kind="periodic", period_ms=period, margin_ms=margin)
+        if t0 is None:
+            return EstimatorState(estimate=est)
+        est.anchor_ms = t0
+        return EstimatorState(times=[t0], ticks=[0], estimate=est)
 
     def test_window_boundary_inclusive(self):
-        rec = self.make_periodic(t0=100.0, period=50.0, margin=1.0)
-        assert grant_threshold(rec) == 149.0
-        assert 149.0 >= grant_threshold(rec)
-        assert not 148.5 >= grant_threshold(rec)
+        state = self.make_periodic(t0=100.0, period=50.0, margin=1.0)
+        assert grant_threshold(state) == 149.0
+        assert 149.0 >= grant_threshold(state)
+        assert not 148.5 >= grant_threshold(state)
 
     @given(t0=st.floats(min_value=0, max_value=1e9, allow_nan=False))
     def test_event_always_granted(self, t0):
-        rec = UeRecord(id=2, pid=62, t_ind=1, traffic_kind="event", t0_last=t0)
-        assert grant_threshold(rec) == -math.inf
+        state = EstimatorState(times=[t0], ticks=[0], estimate=TrafficEstimate(kind="event"))
+        assert grant_threshold(state) == -math.inf
 
     def test_periodic_without_estimate_granted(self):
-        rec = UeRecord(id=1, pid=63, t_ind=1, traffic_kind="periodic", t0_last=100.0)
-        assert grant_threshold(rec) == -math.inf
+        # still observing: initial-phase samples but no classification yet
+        state = EstimatorState(times=[97.5, 147.5])
+        assert grant_threshold(state) == -math.inf
 
     def test_periodic_before_first_success_granted(self):
-        rec = self.make_periodic(t0=None, period=50.0, margin=0.0)
-        assert grant_threshold(rec) == -math.inf
+        state = self.make_periodic(t0=None, period=50.0, margin=0.0)
+        assert grant_threshold(state) == -math.inf
 
 
 class TestAllocation:

@@ -371,8 +371,9 @@ class TestCompletionRule:
             # an exactly periodic observation phase classifies it periodic
             for i in range(sc.r_threshold):
                 estimator.observe_uplink_packet(ue.est, 10.0 + 50.0 * i, sc.t_up_ms, eng.t_tti)
-            eng._allocate(ue, estimator.classify_traffic_type(
-                ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, eng.t_tti))
+            est = estimator.classify_traffic_type(
+                ue.est, sc.r_threshold, sc.var_threshold, sc.t_p, eng.t_tti)
+            eng._allocate(ue, est.kind, est.preferred_offset)
             assert eng.pu_heaps[ue.t_ind][0][2] is ue
         assert (ue.pid == eng.reserved_pid) == (path != "event_cell")
         return eng, ue, 2
@@ -650,12 +651,12 @@ class TestGrantGate:
         entries = [(threshold, ue) for heap in eng.pu_heaps.values()
                    for threshold, _, ue in heap]
         assert any(math.isfinite(threshold) for threshold, _ in entries)
-        assert any(ue.record.estimate.margin_ms > 0 for _, ue in entries)
+        assert any(ue.est.estimate.margin_ms > 0 for _, ue in entries)
         for threshold, ue in entries:
-            assert threshold == protocol.grant_threshold(ue.record)
+            assert threshold == protocol.grant_threshold(ue.est)
         uids = sorted(ue.uid for _, ue in entries)
         periodic = [ue.uid for ue in eng.ues
-                    if ue.record is not None and ue.record.estimate.kind == "periodic"]
+                    if ue.record is not None and ue.est.estimate.kind == "periodic"]
         assert uids == periodic
         classification = eng.report.classification
         assert len(uids) == (classification["periodic_as_periodic"]
