@@ -6,14 +6,14 @@ which devices could have sent a given preamble in a given slot and answer
 each candidate with an individually addressed response, carrying an uplink
 grant only when :func:`grant_threshold` allows it, ``t >= t0 + T - alpha``
 with ``t0`` the estimate's ``anchor_ms``.  The device's estimator state
-alone holds that schedule; a registry row keeps only the id map.
+alone holds that schedule; the registry holds only the ids, since an id
+fixes its preamble and offset class.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from . import core
 from .estimator import EstimatorState
@@ -58,26 +58,12 @@ def cell_id(pid: int, t_ind: int, k: int, n_total: int, n_cr: int, t_p: int) -> 
     return 1 + (n_total - 1 - pid) + n_cr * (t_ind - 1) + n_cr * t_p * k
 
 
-@dataclass(slots=True)
-class UeRecord:
-    """Registry row for one suspended device."""
-
-    id: int
-    pid: int
-    t_ind: int
-    traffic_kind: str  # "periodic" or "event"
-
-
 class BsRegistry:
-    """Base-station view: id -> record plus a (pid, t_ind) reverse index."""
+    """Base-station view: the registered context ids, plus each cell's
+    ids keyed by the ``(pid, t_ind)`` that :func:`select_preamble` and
+    :func:`select_offset_index` give them."""
 
-    def __init__(
-        self,
-        n_total: int = 64,
-        n_cr: int = 4,
-        t_p: int = 3,
-        ids_per_cell: int = 10,
-    ) -> None:
+    def __init__(self, n_total: int, n_cr: int, t_p: int, ids_per_cell: int) -> None:
         if not 0 <= n_cr <= n_total:
             raise ValueError("n_cr must be in [0, n_total]")
         if t_p not in (1, 2, 3):
@@ -88,7 +74,7 @@ class BsRegistry:
         self.n_cr = n_cr
         self.t_p = t_p
         self.ids_per_cell = ids_per_cell
-        self.records: dict[int, UeRecord] = {}
+        self.ids: set[int] = set()
         self._cells: dict[tuple[int, int], list[int]] = {}
         # (pid, t_ind) -> a cell index k at or below the cell's smallest free
         # one (see allocate_context_id); ids are never released
@@ -110,18 +96,15 @@ class BsRegistry:
         """Preamble ids available to event-traffic devices."""
         return range(self.n_total - self.n_cr, self.n_total - 1)
 
-    def add(self, record: UeRecord) -> None:
-        if record.id in self.records:
-            raise ValueError(f"id {record.id} already registered")
-        expect_pid = select_preamble(record.id, self.n_total, self.n_cr)
-        expect_t_ind = select_offset_index(record.id, self.n_cr, self.t_p)
-        if (record.pid, record.t_ind) != (expect_pid, expect_t_ind):
-            raise ValueError(
-                f"record ({record.pid}, {record.t_ind}) contradicts the id map "
-                f"({expect_pid}, {expect_t_ind})"
-            )
-        self.records[record.id] = record
-        self._cells.setdefault((record.pid, record.t_ind), []).append(record.id)
+    def add(self, id_: int) -> None:
+        """Register ``id_`` under its cell; a registered or invalid id
+        raises ``ValueError``."""
+        if id_ in self.ids:
+            raise ValueError(f"id {id_} already registered")
+        cell = (select_preamble(id_, self.n_total, self.n_cr),
+                select_offset_index(id_, self.n_cr, self.t_p))
+        self.ids.add(id_)
+        self._cells.setdefault(cell, []).append(id_)
 
     def ids_for_cell(self, pid: int, t_ind: int) -> list[int]:
         return self._cells.get((pid, t_ind), [])
@@ -204,14 +187,14 @@ def allocate_context_id(
     else:
         raise ValueError(f"traffic_kind must be 'periodic' or 'event', got {traffic_kind!r}")
 
-    records, stride = registry.records, n_cr * t_p
+    ids, stride = registry.ids, n_cr * t_p
     k = registry._free_k.get((pid, t_ind), 0)
     id_ = cell_id(pid, t_ind, k, n_total, n_cr, t_p)
-    while id_ in records:
+    while id_ in ids:
         k += 1
         id_ += stride
     registry._free_k[(pid, t_ind)] = k + 1
     if k >= registry.ids_per_cell:
         registry.grew_capacity = True
-    registry.add(UeRecord(id=id_, pid=pid, t_ind=t_ind, traffic_kind=traffic_kind))
+    registry.add(id_)
     return id_

@@ -65,15 +65,16 @@ class _Ue:
 
     A four-step device gets only the slots the four-step path reads (it
     sets ``trigger_arrival`` when an access starts); a two-step device also
-    gets its uid, period, context record, preamble and offset class.  A
-    device starts with the shared ``_NEVER`` and ``_NO_QUEUE``, so it owns
-    no container until a packet queues during one of its accesses.
+    gets its uid, period, and the preamble and offset class its context id
+    maps to, ``pid = -1`` until it has one.  A device starts with the
+    shared ``_NEVER`` and ``_NO_QUEUE``, so it owns no container until a
+    packet queues during one of its accesses.
     """
 
     __slots__ = (
         "uid", "periodic", "twostep", "cm",
         "period_ms", "rate_per_ms", "next_arrival_ms",
-        "est", "record", "pid", "t_ind",
+        "est", "pid", "t_ind",
         "connected_until", "in_ra", "attempt", "trigger_arrival", "queue",
         "first_slot",  # two-step only: the slot of the packet's first preamble
     )
@@ -93,7 +94,6 @@ class _Ue:
         if self.twostep:
             self.uid = uid
             self.period_ms = 0.0
-            self.record: protocol.UeRecord | None = None
             self.pid = -1
             self.t_ind = 0
             self.trigger_arrival = 0.0
@@ -109,14 +109,13 @@ def _check_slot_counts(sc: Scenario) -> None:
     most 37 mean gaps (``-log`` of the smallest 53-bit draw).  Their sum,
     in slots, bounds each of them, and must be finite.
 
-    It also refuses an arrival clock that cannot advance: a populated
-    class whose period, or mean gap, added to ``duration_ms`` leaves it
-    unchanged would serve one slot's arrivals for ever.
-
-    Last, it refuses a run whose expected work is over ``MAX_WORK``: the
+    It also refuses a run whose expected work is over ``MAX_WORK``: the
     slots the run visits plus, for each populated class, its devices times
     ``duration_ms`` over its period or mean gap.  The error names the key
-    behind the largest term, ``duration_ms`` for the slots.
+    behind the largest term, ``duration_ms`` for the slots.  This also
+    refuses an arrival clock that cannot advance: a gap that leaves
+    ``duration_ms`` unchanged when added is at most ``duration_ms * 2**-53``,
+    so its class's term is at least ``2**53``.
     """
     spans = {
         "duration_ms": sc.duration_ms, "rar_window_ms": sc.rar_window_ms,
@@ -141,9 +140,6 @@ def _check_slot_counts(sc: Scenario) -> None:
                             f"the float range at t_tti_ms = {sc.t_tti_ms!r}")
     work = {"duration_ms": sc.duration_ms / sc.t_tti_ms}
     for key, (n, gap) in classes.items():
-        if sc.duration_ms + gap == sc.duration_ms:
-            raise ScenarioError(f"{key} = {getattr(sc, key)!r} gives an arrival gap below "
-                                f"the time resolution at duration_ms = {sc.duration_ms!r}")
         work[key] = n * sc.duration_ms / gap
     total = sum(work.values())
     if total > MAX_WORK:
@@ -307,10 +303,9 @@ class _Engine:
     def _allocate(self, ue: _Ue, kind: str, preferred_offset: int | None) -> None:
         """Register ``ue`` as ``kind`` traffic and enter it in the grant structures."""
         id_ = protocol.allocate_context_id(self.registry, kind, preferred_offset)
-        record = self.registry.records[id_]
-        ue.record = record
-        ue.pid = record.pid
-        ue.t_ind = record.t_ind
+        sc = self.sc
+        ue.pid = protocol.select_preamble(id_, sc.n_total, sc.n_cr)
+        ue.t_ind = protocol.select_offset_index(id_, sc.n_cr, sc.t_p)
         if kind == "periodic" and self.mode == "on":
             heapq.heappush(self.pu_heaps[ue.t_ind],
                            (protocol.grant_threshold(ue.est), ue.uid, ue))
@@ -401,7 +396,7 @@ class _Engine:
                     ue.queue.append(arrival)
                 else:  # the shared empty queue, or one a completion emptied
                     ue.queue = [arrival]
-            elif (ue.twostep and ue.record is None) or arrival <= ue.connected_until:
+            elif (ue.twostep and ue.pid < 0) or arrival <= ue.connected_until:
                 # a two-step device without a context (observation phase, or
                 # classified and waiting for its context) is still on its
                 # initial connection

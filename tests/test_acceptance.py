@@ -22,7 +22,7 @@ from oracles import (
 from ralab import analysis, core
 from ralab.analysis import FourStepParams, TwoStepParams
 from ralab.metrics import satisfiable_latency
-from ralab.protocol import BsRegistry, UeRecord, filter_candidates, \
+from ralab.protocol import BsRegistry, filter_candidates, \
     select_offset_index, select_preamble
 from ralab.scenario import Scenario, read_scenario
 from ralab.simulator import run_scenario, run_seeds
@@ -69,15 +69,9 @@ class TestCriterion2WorkedExample:
         n_total, n_cr, t_p = 64, 4, 3
         pid = select_preamble(13, n_total, n_cr)
         t_ind = select_offset_index(13, n_cr, t_p)
-        registry = BsRegistry(n_total=n_total, n_cr=n_cr, t_p=t_p)
+        registry = BsRegistry(n_total=n_total, n_cr=n_cr, t_p=t_p, ids_per_cell=10)
         for id_ in range(1, 25):
-            id_pid = select_preamble(id_, n_total, n_cr)
-            registry.add(UeRecord(
-                id=id_,
-                pid=id_pid,
-                t_ind=select_offset_index(id_, n_cr, t_p),
-                traffic_kind="periodic" if id_pid == registry.reserved_pid else "event",
-            ))
+            registry.add(id_)
         candidates = filter_candidates(registry, pid=63, rx_slot=1)
         ok = pid == 63 and t_ind == 1 and candidates == [1, 13]
         verdict(2, ok, f"id=13 -> pid={pid} (want 63), t_ind={t_ind} (want 1); "

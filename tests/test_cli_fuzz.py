@@ -83,8 +83,8 @@ def command_lines(draw):
 # Lines the draws reach only by chance.  At 1 ms slots, a horizon far over
 # the simulator's work cap, and one just over it, each reach the cap's slot
 # half: with no device, or (validate needs one) with a device so slow that
-# its arrival gap stays above the horizon's resolution.  A contention timer
-# of 5e307 ms overflows the four-step chain's total time at tau = 1.
+# the slots, not its arrivals, make the largest work term.  A contention
+# timer of 5e307 ms overflows the four-step chain's total time at tau = 1.
 SLOT_CAP_FAR = ["--set", "t_tti_ms=1.0", "--set", "duration_ms=1e308"]
 SLOW_DEVICE = ["--set", "traffic.fourstep.n_ue=1", "--set", "traffic.fourstep.rate_per_s=1e-300"]
 SLOT_CAP_NEAR = ["--set", "t_tti_ms=1.0", "--set", "duration_ms=2e9"]

@@ -11,7 +11,6 @@ from ralab.estimator import EstimatorState, TrafficEstimate
 from ralab.protocol import (
     AllocationError,
     BsRegistry,
-    UeRecord,
     allocate_context_id,
     cell_id,
     filter_candidates,
@@ -22,25 +21,24 @@ from ralab.protocol import (
 
 
 def make_registry(ids=(), n_total=64, n_cr=4, t_p=3):
-    reg = BsRegistry(n_total=n_total, n_cr=n_cr, t_p=t_p)
+    reg = BsRegistry(n_total=n_total, n_cr=n_cr, t_p=t_p, ids_per_cell=10)
     for id_ in ids:
-        reg.add(
-            UeRecord(
-                id=id_,
-                pid=select_preamble(id_, n_total, n_cr),
-                t_ind=select_offset_index(id_, n_cr, t_p),
-                traffic_kind="event",
-            )
-        )
+        reg.add(id_)
     return reg
 
 
+def id_cell(reg, id_):
+    """The (pid, t_ind) cell that the id map gives ``id_`` in ``reg``."""
+    return (select_preamble(id_, reg.n_total, reg.n_cr),
+            select_offset_index(id_, reg.n_cr, reg.t_p))
+
+
 def assert_registry_consistent(reg):
-    """The (pid, t_ind) reverse index lists exactly the registered ids."""
+    """The (pid, t_ind) reverse index lists exactly the registered ids,
+    each under the cell its id maps to."""
     rebuilt = {}
-    for id_, rec in reg.records.items():
-        assert rec.id == id_
-        rebuilt.setdefault((rec.pid, rec.t_ind), []).append(id_)
+    for id_ in reg.ids:
+        rebuilt.setdefault(id_cell(reg, id_), []).append(id_)
     for pid in range(reg.n_total):
         for t_ind in range(1, reg.t_p + 1):
             assert sorted(reg.ids_for_cell(pid, t_ind)) == \
@@ -134,9 +132,9 @@ class TestFilterCandidates:
         reg = make_registry(ids=range(1, 37))
         for _ in range(200):
             id_ = rng.randint(1, 36)
-            rec = reg.records[id_]
-            slot = protocol.core.next_tx_slot(rng.randrange(1000), reg.t_p, rec.t_ind)
-            assert id_ in filter_candidates(reg, rec.pid, slot)
+            pid, t_ind = id_cell(reg, id_)
+            slot = protocol.core.next_tx_slot(rng.randrange(1000), reg.t_p, t_ind)
+            assert id_ in filter_candidates(reg, pid, slot)
 
 
 class TestRarGrantDecision:
@@ -172,13 +170,37 @@ class TestRarGrantDecision:
         assert grant_threshold(state) == -math.inf
 
 
+class TestRegistryAdd:
+    def test_files_id_under_its_mapped_cell(self):
+        reg = make_registry(ids=(1,))
+        reg.add(13)  # the id map gives (63, 1), as for id 1
+        assert reg.ids == {1, 13}
+        assert reg.ids_for_cell(63, 1) == [1, 13]
+        assert filter_candidates(reg, 63, rx_slot=1) == [1, 13]
+        assert_registry_consistent(reg)
+
+    def test_refuses_duplicate_id(self):
+        reg = make_registry(ids=(13,))
+        with pytest.raises(ValueError, match="^id 13 already registered$"):
+            reg.add(13)
+        assert reg.ids == {13}
+        assert reg.ids_for_cell(63, 1) == [13]
+
+    def test_refuses_id_below_one(self):
+        reg = make_registry()
+        with pytest.raises(ValueError, match="^id must be >= 1$"):
+            reg.add(0)
+        assert reg.ids == set()
+        assert_registry_consistent(reg)
+
+
 class TestAllocation:
     def test_periodic_takes_reserved_preamble(self):
         reg = make_registry()
         id_ = allocate_context_id(reg, "periodic", preferred_offset=1)
-        rec = reg.records[id_]
-        assert rec.pid == 63
-        assert rec.t_ind == 1
+        pid, t_ind = id_cell(reg, id_)
+        assert pid == 63
+        assert t_ind == 1
         assert id_ % 12 == 1  # every id of the (63, 1) cell
 
     def test_first_allocation_takes_smallest_id(self):
@@ -189,7 +211,7 @@ class TestAllocation:
         reg = make_registry()
         for _ in range(30):
             id_ = allocate_context_id(reg, "event")
-            assert reg.records[id_].pid in {60, 61, 62}
+            assert id_cell(reg, id_)[0] in {60, 61, 62}
 
     def test_balanced_policy_spreads_cells(self):
         reg = make_registry()
@@ -204,13 +226,11 @@ class TestAllocation:
         ids = [allocate_context_id(reg, "event") for _ in range(50)]
         ids.append(allocate_context_id(reg, "periodic", preferred_offset=2))
         for id_ in ids:
-            rec = reg.records[id_]
-            assert select_preamble(id_, reg.n_total, reg.n_cr) == rec.pid
-            assert select_offset_index(id_, reg.n_cr, reg.t_p) == rec.t_ind
+            assert id_ in reg.ids_for_cell(*id_cell(reg, id_))
         assert_registry_consistent(reg)
 
     def test_growth_is_flagged(self):
-        reg = BsRegistry(n_cr=4, t_p=3, ids_per_cell=1)
+        reg = BsRegistry(n_total=64, n_cr=4, t_p=3, ids_per_cell=1)
         allocate_context_id(reg, "periodic", preferred_offset=1)
         assert not reg.grew_capacity
         allocate_context_id(reg, "periodic", preferred_offset=1)
@@ -246,19 +266,18 @@ class TestAllocation:
                     want = (reg.reserved_pid, min(op[1], t_p))
                     k = smallest_free_cell_index(reg, *want)
                     id_ = allocate_context_id(reg, "periodic", preferred_offset=want[1])
-                rec = reg.records[id_]
-                assert (rec.pid, rec.t_ind) == want
+                assert id_cell(reg, id_) == want
                 assert id_ == cell_id(*want, k, reg.n_total, n_cr, t_p)
             else:
                 _, p, t_ind, k = op
                 pid = reg.n_total - n_cr + p % n_cr
                 t_ind = min(t_ind, t_p)
                 id_ = cell_id(pid, t_ind, k, reg.n_total, n_cr, t_p)
-                if id_ not in reg.records:
-                    reg.add(UeRecord(id=id_, pid=pid, t_ind=t_ind, traffic_kind="event"))
+                if id_ not in reg.ids:
+                    reg.add(id_)
         assert_registry_consistent(reg)
 
     def test_needs_two_preambles_for_event_devices(self):
-        reg = BsRegistry(n_cr=1, t_p=3)
+        reg = BsRegistry(n_total=64, n_cr=1, t_p=3, ids_per_cell=10)
         with pytest.raises(AllocationError):
             allocate_context_id(reg, "event")

@@ -247,8 +247,8 @@ class TestSlotDiscipline:
                 # a new access by a packet that arrives in slot s - 1
                 ue = _Ue(0, "event", "twostep", cm)
                 ue.rate_per_ms = 1e-3
+                ue.pid = 0  # any pid >= 0: the device has a context
                 ue.t_ind = t_ind
-                ue.record = protocol.UeRecord(id=1, pid=0, t_ind=t_ind, traffic_kind="event")
                 eng._handle_arrivals([ue], s - 1)
                 assert ue.in_ra and ue.first_slot == want
 
@@ -278,13 +278,23 @@ class TestShortlistMatchesEventCells:
     devices, so criterion 2's worked example speaks for the simulator."""
 
     @pytest.mark.parametrize("mode,t_p", [("on", 3), ("on", 2), ("off", 3), ("off", 1)])
-    def test_cell_counts_equal_shortlist_classes(self, mode, t_p):
+    def test_cell_counts_equal_shortlist_classes(self, mode, t_p, monkeypatch):
+        # context id -> whether the device that holds it is periodic: an
+        # allocation appends its id to its cell last
+        periodic = {}
+        allocate = _Engine._allocate
+
+        def spy(self, ue, kind, preferred_offset):
+            allocate(self, ue, kind, preferred_offset)
+            periodic[self.registry.ids_for_cell(ue.pid, ue.t_ind)[-1]] = ue.periodic
+
+        monkeypatch.setattr(_Engine, "_allocate", spy)
         sc = Scenario(duration_ms=6_000.0, t_p=t_p, n_cr=5, estimator_mode=mode,
                       detection="model", r_threshold=9, twostep_n_periodic=20,
                       twostep_n_event=21)  # 21 cannot fill the cells evenly
         eng = _Engine(sc, seed=7)
         eng.run()
-        periodic = {ue.record.id: ue.periodic for ue in eng.ues if ue.record is not None}
+        assert periodic.keys() == eng.registry.ids
         assert eng.cells and all(key[0] != eng.reserved_pid for key in eng.cells)
         for pid in eng.registry.event_pids():
             for fs in range(core.FRAME_LEN):
@@ -418,7 +428,7 @@ class TestArrivalGap:
     ], ids=["event_rate", "period", "fourstep_rate", "one_slot"])
     def test_clock_that_cannot_advance_is_refused(self, fields, key):
         sc = Scenario(**{"duration_ms": 200.0, "n_cr": 2, **fields})
-        with pytest.raises(ScenarioError, match=f"^{key} = .*arrival gap"):
+        with pytest.raises(ScenarioError, match=f"^{key} = .* over the cap of 1e\\+09$"):
             _Engine(sc, 1)
 
 
@@ -524,7 +534,7 @@ class TestFourStepRecord:
         # long enough for the four-step device's first arrival to be built
         sc = Scenario(duration_ms=1e6, n_cr=4, twostep_n_event=1, fourstep_n_ue=1)
         two, four = _Engine(sc, 1).ues
-        for name in ("uid", "record", "pid", "t_ind", "period_ms"):
+        for name in ("uid", "pid", "t_ind", "period_ms"):
             assert hasattr(two, name), name
             assert not hasattr(four, name), name
 
@@ -656,7 +666,7 @@ class TestGrantGate:
             assert threshold == protocol.grant_threshold(ue.est)
         uids = sorted(ue.uid for _, ue in entries)
         periodic = [ue.uid for ue in eng.ues
-                    if ue.record is not None and ue.est.estimate.kind == "periodic"]
+                    if ue.pid >= 0 and ue.est.estimate.kind == "periodic"]
         assert uids == periodic
         classification = eng.report.classification
         assert len(uids) == (classification["periodic_as_periodic"]
